@@ -266,19 +266,10 @@ def factorization_certificate(bundle: P1Bundle, seed=0, tries=60):
             v = [LaurentZ.zero(field) for _ in range(n)]
             for cf, b in zip(coeffs, basis):
                 if cf:
-                    sc = _int_in_field(field, cf)
+                    sc = field.one * cf
                     v = [x + y.scale(sc) for x, y in zip(v, b)]
             cols.append(v)
         result = assemble(cols)
         if result is not None:
             return result
     return None
-
-
-def _int_in_field(field, k):
-    acc = field.zero
-    one = field.one
-    neg = k < 0
-    for _ in range(abs(k)):
-        acc = acc + one
-    return -acc if neg else acc

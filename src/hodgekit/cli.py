@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InternalInvariantError, PreconditionError
@@ -398,7 +399,14 @@ def main(argv=None):
 
 def _emit(obj, out_path):
     text = json.dumps(obj, indent=2, sort_keys=False)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``hodgekit ... | head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

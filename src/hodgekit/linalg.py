@@ -1,8 +1,9 @@
 """Exact dense linear algebra over field-like elements, plus integer SNF.
 
 Matrices are plain lists of lists.  Field elements must support +, -, *, /,
-unary minus, equality and an ``is_zero`` property; ``Scalar``, ``RatFunc``
-and ``LaurentPoly`` (ring ops only) all qualify.
+``inv()``, unary minus, equality and an ``is_zero`` property; ``Scalar``,
+``RatFunc`` and ``LaurentPoly`` (ring ops only) all qualify.  Elimination
+inverts each pivot once and scales its row by that inverse.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def row_echelon(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        inv = a[r][c].inv()
+        a[r] = [x * inv for x in a[r]]
         for i in range(rows):
             if i != r and not a[i][c].is_zero:
                 f = a[i][c]
@@ -112,8 +113,8 @@ def sparse_rank(rows) -> int:
                     else:
                         row[k] = acc
             else:
-                inv = row[c]
-                pivots[c] = {k: v / inv for k, v in row.items()}
+                inv = row[c].inv()
+                pivots[c] = {k: v * inv for k, v in row.items()}
                 count += 1
                 break
     return count
@@ -142,8 +143,8 @@ def sparse_nullspace(rows, ncols, one, zero):
                     else:
                         row[k] = acc
             else:
-                inv = row[c]
-                norm = {k: v / inv for k, v in row.items()}
+                inv = row[c].inv()
+                norm = {k: v * inv for k, v in row.items()}
                 # back-substitute into existing pivot rows for full reduction
                 for pc, prow in pivots.items():
                     if c in prow:

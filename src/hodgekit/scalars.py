@@ -2,10 +2,15 @@
 
 A ``Scalar`` is either
 
-* gaussian -- a pair of ``Fraction``s (re, im) standing for re + im*i, or
+* gaussian -- an integer triple (a, b, d) standing for (a + b*i)/d, kept
+  reduced (d > 0 and gcd(a, b, d) = 1), or
 * cyclotomic -- an order ``n`` together with rational coordinates in the
   power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
   cyclotomic polynomial.
+
+The reduced triple is canonical: equality compares three ints, and each
+gaussian operation is integer arithmetic plus one gcd.  ``re`` and ``im``
+still return the parts as ``Fraction``s.
 
 Arithmetic is a field in both branches.  Conjugation negates the imaginary
 part on gaussian values and sends zeta to zeta^(n-1) on cyclotomic values;
@@ -23,6 +28,7 @@ import os
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import PreconditionError
 
@@ -135,16 +141,22 @@ def _pad2(a, b):
 
 
 class Scalar:
-    """One exact number, gaussian or cyclotomic.  Immutable."""
+    """One exact number, gaussian or cyclotomic.  Immutable.
 
-    __slots__ = ("_re", "_im", "_order", "_coeffs")
+    Gaussian: ints ``_a, _b, _d`` for ``(_a + _b*i)/_d`` with ``_d > 0`` and
+    ``gcd(_a, _b, _d) = 1``, so equal values have equal triples.
+    Cyclotomic: ``_order`` and the power-basis Fractions ``_coeffs``.
+    """
+
+    __slots__ = ("_a", "_b", "_d", "_order", "_coeffs")
 
     def __init__(self, re=None, im=None, order=None, coeffs=None):
         if order is None:
             self._order = None
-            self._re = Fraction(re if re is not None else 0)
-            self._im = Fraction(im if im is not None else 0)
             self._coeffs = None
+            self._a, self._b, self._d = _triple(
+                Fraction(re if re is not None else 0),
+                Fraction(im if im is not None else 0))
         else:
             cap = _cyclo_cap()
             if order < 1 or order > cap:
@@ -158,39 +170,30 @@ class Scalar:
                     f"order-{order} value needs {phi} coordinates, got {len(cs)}")
             self._order = order
             self._coeffs = tuple(cs)
-            self._re = self._im = None
+            self._a = self._b = self._d = None
 
     # ---- constructors
 
     @staticmethod
-    def _gauss(re, im):
-        # internal fast path: re/im are already Fractions
-        s = object.__new__(Scalar)
-        s._order = None
-        s._coeffs = None
-        s._re = re
-        s._im = im
-        return s
-
-    @staticmethod
     def rational(x):
-        return Scalar(re=Fraction(x))
+        f = Fraction(x)
+        return _raw(f.numerator, 0, f.denominator)
 
     @staticmethod
     def gaussian(re, im):
-        return Scalar(re=Fraction(re), im=Fraction(im))
+        return _raw(*_triple(Fraction(re), Fraction(im)))
 
     @staticmethod
     def zero():
-        return Scalar(re=0)
+        return _ZERO
 
     @staticmethod
     def one():
-        return Scalar(re=1)
+        return _ONE
 
     @staticmethod
     def i():
-        return Scalar(re=0, im=1)
+        return _raw(0, 1, 1)
 
     @staticmethod
     def cyclotomic(order, coeffs):
@@ -216,13 +219,13 @@ class Scalar:
     def re(self):
         if not self.is_gaussian:
             raise PreconditionError("re only defined on gaussian values")
-        return self._re
+        return Fraction(self._a, self._d)
 
     @property
     def im(self):
         if not self.is_gaussian:
             raise PreconditionError("im only defined on gaussian values")
-        return self._im
+        return Fraction(self._b, self._d)
 
     @property
     def coeffs(self):
@@ -232,8 +235,8 @@ class Scalar:
 
     @property
     def is_zero(self):
-        if self.is_gaussian:
-            return self._re == 0 and self._im == 0
+        if self._order is None:
+            return not self._a and not self._b
         return all(c == 0 for c in self._coeffs)
 
     def __bool__(self):
@@ -241,22 +244,22 @@ class Scalar:
 
     def is_rational(self):
         if self.is_gaussian:
-            return self._im == 0
+            return not self._b
         return all(c == 0 for c in self._coeffs[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise PreconditionError("value is not rational")
-        return self._re if self.is_gaussian else self._coeffs[0]
+        return self.re if self.is_gaussian else self._coeffs[0]
 
     def key(self):
         """Canonical hashable form, stable across equal values."""
         if self.is_gaussian:
-            return ("g", self._re, self._im)
+            return ("g", self._a, self._b, self._d)
         if self.is_rational():
-            return ("g", self._coeffs[0], Fraction(0))
+            return ("g",) + _triple(self._coeffs[0], Fraction(0))
         if self._order == 4:
-            return ("g", self._coeffs[0], self._coeffs[1])
+            return ("g",) + _triple(self._coeffs[0], self._coeffs[1])
         return ("c", self._order, self._coeffs)
 
     def __hash__(self):
@@ -273,21 +276,22 @@ class Scalar:
                 f"mixed cyclotomic orders {self._order} and {n}")
         phi = totient(n)
         out = [Fraction(0)] * phi
-        out[0] = self._re
-        if self._im:
+        out[0] = self.re
+        if self._b:
             if n % 4 != 0:
                 raise PreconditionError(
                     f"cannot embed i into Q(zeta_{n}) (order not divisible by 4)")
+            im = self.im
             for idx, c in enumerate(_power_basis(n, n // 4)):
-                out[idx] += self._im * c
+                out[idx] += im * c
         return Scalar(order=n, coeffs=out)
 
     @staticmethod
     def _coerce(a, b):
-        if isinstance(b, (int, Fraction)):
-            b = Scalar.rational(b)
         if not isinstance(b, Scalar):
-            return NotImplemented, NotImplemented
+            if not isinstance(b, (int, Fraction)):
+                return NotImplemented, NotImplemented
+            b = Scalar.rational(b)
         if a.is_gaussian and b.is_gaussian:
             return a, b
         if a.is_gaussian:
@@ -300,15 +304,22 @@ class Scalar:
         return a, b
 
     # ---- arithmetic
+    #
+    # Gaussian operands take the first branch of each operator: integer
+    # arithmetic on the triples and one gcd (in ``_gauss``) per result.
 
     def __add__(self, other):
         if isinstance(other, Scalar) and self._order is None and other._order is None:
-            return Scalar._gauss(self._re + other._re, self._im + other._im)
+            d, e = self._d, other._d
+            if d == e:
+                return _gauss(self._a + other._a, self._b + other._b, d)
+            return _gauss(self._a * e + other._a * d,
+                          self._b * e + other._b * d, d * e)
         a, b = Scalar._coerce(self, other)
         if a is NotImplemented:
             return NotImplemented
         if a.is_gaussian:
-            return Scalar._gauss(a._re + b._re, a._im + b._im)
+            return a + b
         return Scalar(order=a._order,
                       coeffs=[x + y for x, y in zip(a._coeffs, b._coeffs)])
 
@@ -316,10 +327,16 @@ class Scalar:
 
     def __neg__(self):
         if self._order is None:
-            return Scalar._gauss(-self._re, -self._im)
+            return _raw(-self._a, -self._b, self._d)
         return Scalar(order=self._order, coeffs=[-c for c in self._coeffs])
 
     def __sub__(self, other):
+        if isinstance(other, Scalar) and self._order is None and other._order is None:
+            d, e = self._d, other._d
+            if d == e:
+                return _gauss(self._a - other._a, self._b - other._b, d)
+            return _gauss(self._a * e - other._a * d,
+                          self._b * e - other._b * d, d * e)
         a, b = Scalar._coerce(self, other)
         if a is NotImplemented:
             return NotImplemented
@@ -330,14 +347,13 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, Scalar) and self._order is None and other._order is None:
-            return Scalar._gauss(self._re * other._re - self._im * other._im,
-                                 self._re * other._im + self._im * other._re)
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _gauss(a * c - b * e, a * e + b * c, self._d * other._d)
         a, b = Scalar._coerce(self, other)
         if a is NotImplemented:
             return NotImplemented
         if a.is_gaussian:
-            return Scalar._gauss(a._re * b._re - a._im * b._im,
-                                 a._re * b._im + a._im * b._re)
+            return a * b
         n = a._order
         prod = _pmul(list(a._coeffs), list(b._coeffs))
         _, r = _pdivmod(prod, list(cyclotomic_polynomial(n)))
@@ -351,8 +367,8 @@ class Scalar:
         if self.is_zero:
             raise PreconditionError("division by zero scalar")
         if self.is_gaussian:
-            nrm = self._re * self._re + self._im * self._im
-            return Scalar._gauss(self._re / nrm, -self._im / nrm)
+            a, b, d = self._a, self._b, self._d
+            return _gauss(d * a, -d * b, a * a + b * b)
         g, s, _ = _ext_gcd_poly(list(self._coeffs),
                                 list(cyclotomic_polynomial(self._order)))
         assert len(g) == 1, "cyclotomic polynomial must be coprime to a unit"
@@ -363,6 +379,13 @@ class Scalar:
         return Scalar(order=self._order, coeffs=r[:phi])
 
     def __truediv__(self, other):
+        if isinstance(other, Scalar) and self._order is None and other._order is None:
+            c, e = other._a, other._b
+            nrm = c * c + e * e
+            if not nrm:
+                raise PreconditionError("division by zero scalar")
+            a, b, f = self._a, self._b, other._d
+            return _gauss(f * (a * c + b * e), f * (b * c - a * e), self._d * nrm)
         a, b = Scalar._coerce(self, other)
         if a is NotImplemented:
             return NotImplemented
@@ -386,7 +409,7 @@ class Scalar:
 
     def conj(self):
         if self._order is None:
-            return Scalar._gauss(self._re, -self._im)
+            return _raw(self._a, -self._b, self._d)
         n = self._order
         phi = totient(n)
         out = [Fraction(0)] * phi
@@ -399,11 +422,13 @@ class Scalar:
     # ---- comparison and display
 
     def __eq__(self, other):
-        if isinstance(other, Scalar) and self._order is None and other._order is None:
-            return self._re == other._re and self._im == other._im
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
+            if self._order is None and other._order is None:
+                return (self._a == other._a and self._b == other._b
+                        and self._d == other._d)
+        elif isinstance(other, (int, Fraction)):
             other = Scalar.rational(other)
-        if not isinstance(other, Scalar):
+        else:
             return NotImplemented
         try:
             a, b = Scalar._coerce(self, other)
@@ -413,7 +438,7 @@ class Scalar:
                 return self.as_rational() == other.as_rational()
             return False
         if a.is_gaussian:
-            return a._re == b._re and a._im == b._im
+            return a == b
         return a._coeffs == b._coeffs
 
     def __ne__(self, other):
@@ -425,6 +450,40 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({format_scalar(self)!r})"
+
+
+def _raw(a, b, d):
+    """Gaussian (a + b*i)/d from a triple that is already reduced."""
+    s = object.__new__(Scalar)
+    s._order = None
+    s._coeffs = None
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _gauss(a, b, d):
+    """Gaussian (a + b*i)/d from ints with d > 0, reduced here."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
+
+
+def _triple(re, im):
+    """The reduced triple of re + im*i, for Fractions re and im."""
+    dr, di = re.denominator, im.denominator
+    d = dr * di // gcd(dr, di)
+    # reduced: a prime power dividing d divides dr or di fully, and that
+    # fraction's numerator is prime to it
+    return re.numerator * (d // dr), im.numerator * (d // di), d
+
+
+_ZERO = _raw(0, 0, 1)
+_ONE = _raw(1, 0, 1)
 
 
 def conj(s: Scalar) -> Scalar:

@@ -97,13 +97,6 @@ def pgcd(a, b):
     return a
 
 
-def peval(a, x):
-    acc = Scalar.zero()
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 class RatFunc:
     """num/den with den monic and gcd(num, den) = 1.  A field element."""
 

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -252,6 +256,25 @@ def test_exit_codes(capsys):
         assert err["error"]["kind"] == "internal"
     finally:
         cli.HANDLERS["rings"] = saved
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # as in `hodgekit ... | head -1`: the reader is gone before the write
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hodgekit.cli", "rings", "conj",
+         "--inline", '{"scalar": "1/2+2/3*i"}'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert code == 1
 
 
 def test_missing_input_rejected():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,38 @@ from hodgekit.scalars import Scalar, conj, format_scalar, parse_scalar
 
 small_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 gaussians = st.builds(Scalar.gaussian, small_fracs, small_fracs)
+
+# wide operands: large numerators, denominators that share factors, and
+# zero / purely real / purely imaginary values
+wide_fracs = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
+wide_gaussians = st.one_of(
+    st.builds(Scalar.gaussian, wide_fracs, wide_fracs),
+    st.builds(Scalar.gaussian, st.just(0), wide_fracs),
+    st.builds(Scalar.gaussian, wide_fracs, st.just(0)))
+
+
+# -- Fraction-pair reference for gaussian arithmetic
+
+def ref(x):
+    return (x.re, x.im)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inv(x):
+    nrm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / nrm, -x[1] / nrm)
+
+
+def assert_canonical(s):
+    a, b, d = s._a, s._b, s._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    assert type(s.re) is Fraction and type(s.im) is Fraction
 
 
 def test_conj_examples():
@@ -114,3 +147,54 @@ def test_parse_garbage():
     for bad in ("", "x", "1//2", "2i3"):
         with pytest.raises(PreconditionError):
             parse_scalar(bad)
+
+
+@given(wide_gaussians, wide_gaussians)
+@settings(max_examples=300)
+def test_gaussian_ops_match_fraction_reference(x, y):
+    rx, ry = ref(x), ref(y)
+    cases = [
+        (x + y, (rx[0] + ry[0], rx[1] + ry[1])),
+        (x - y, (rx[0] - ry[0], rx[1] - ry[1])),
+        (x * y, ref_mul(rx, ry)),
+        (-x, (-rx[0], -rx[1])),
+        (x.conj(), (rx[0], -rx[1])),
+    ]
+    if y.is_zero:
+        with pytest.raises(PreconditionError):
+            x / y
+        with pytest.raises(PreconditionError):
+            y.inv()
+    else:
+        cases += [(x / y, ref_mul(rx, ref_inv(ry))), (y.inv(), ref_inv(ry))]
+    for got, want in cases:
+        assert_canonical(got)
+        assert ref(got) == want
+
+
+@given(wide_gaussians, wide_gaussians)
+@settings(max_examples=100)
+def test_equal_values_compare_and_hash_equal(x, y):
+    for built in ((x + y) - y, (x - y) + y, Scalar.gaussian(x.re, x.im)):
+        assert built == x and hash(built) == hash(x)
+    if not y.is_zero:
+        back = (x * y) / y
+        assert back == x and hash(back) == hash(x)
+
+
+def test_equal_values_from_different_constructors():
+    pairs = [
+        (Scalar.gaussian(Fraction(2, 4), 0), Scalar.rational(Fraction(1, 2))),
+        (Scalar.gaussian("6/4", "-3/2"), Scalar.gaussian(Fraction(3, 2), Fraction(-3, 2))),
+        (Scalar.i(), Scalar.zeta(4)),
+        (Scalar.cyclotomic(8, [Fraction(1, 2), 0, 0, 0]), Scalar.rational(Fraction(1, 2))),
+        (Scalar.rational(0), Scalar.gaussian(0, 0) * Scalar.i()),
+        (Scalar.one(), Scalar(re=1)),
+        (Scalar.zero(), Scalar()),
+    ]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+    assert Scalar.rational(Fraction(6, 4)) == Fraction(3, 2)
+    assert Scalar.rational(3) == 3 and Scalar.gaussian(3, 1) != 3
+    assert_canonical(Scalar.gaussian(Fraction(2, 4), Fraction(-5, 10)))
