@@ -8,6 +8,7 @@ are mandatory for randomized verbs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -314,7 +315,9 @@ HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="hodgekit",
                      description="exact-arithmetic toolbox, JSON in / JSON out")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -216,32 +216,6 @@ def invert(m, one, zero):
     return [row[n:] for row in ech[:n]]
 
 
-def det_field(m, one, zero):
-    rows, cols = dims(m)
-    if rows != cols:
-        raise PreconditionError("determinant of a non-square matrix")
-    a = [list(r) for r in m]
-    acc = one
-    for c in range(cols):
-        pr = None
-        for i in range(c, rows):
-            if not a[i][c].is_zero:
-                pr = i
-                break
-        if pr is None:
-            return zero
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            acc = -acc
-        acc = acc * a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, rows):
-            if not a[i][c].is_zero:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return acc
-
-
 # -- determinants over a commutative ring (no division) ------------------
 
 

@@ -386,10 +386,10 @@ def quaternionic_sff_space(r, rprime, constraints="quaternionic") -> int:
                         if c:
                             key = uidx(a, b, gg)
                             row[key] = row.get(key, Fraction(0)) - c
-                    row = {k: v for k, v in row.items() if v}
+                    row = {k: Scalar.rational(v) for k, v in row.items() if v}
                     if row:
                         rows.append(row)
-    return nunknown - _sparse_rank(rows)
+    return nunknown - linalg.sparse_rank(rows)
 
 
 def _real_structures(r):
@@ -412,25 +412,3 @@ def _real_structures(r):
         jmat[a][b] = Fraction(-1)      # Re z1 <- -Re z2
         jmat[a + 1][b + 1] = Fraction(1)
     return {"I": imat, "J": jmat}
-
-
-def _sparse_rank(rows):
-    """Rank of a sparse rational system given as dict rows."""
-    pivots = {}  # col -> normalized row dict
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                for k, v in pivots[c].items():
-                    row[k] = row.get(k, Fraction(0)) - f * v
-                    if not row[k]:
-                        del row[k]
-            else:
-                inv = 1 / row[c]
-                pivots[c] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-    return rank

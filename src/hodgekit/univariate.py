@@ -98,7 +98,12 @@ def pgcd(a, b):
 
 
 class RatFunc:
-    """num/den with den monic and gcd(num, den) = 1.  A field element."""
+    """num/den with den monic and gcd(num, den) = 1.  A field element.
+
+    A constant denominator needs no gcd, and sums, products and negatives
+    of polynomials (den == (1,)) are already in this form, so only the
+    other cases pay for ``pgcd``.
+    """
 
     __slots__ = ("num", "den")
 
@@ -110,6 +115,11 @@ class RatFunc:
         if not num:
             self.num, self.den = (), (Scalar.one(),)
             return
+        if len(den) == 1:  # a constant denominator shares no factor with num
+            lead = den[0].inv()
+            self.num = tuple(c * lead for c in num)
+            self.den = (den[0] * lead,)
+            return
         g = pgcd(num, den)
         if len(g) > 1:
             num, _ = pdivmod(num, g)
@@ -117,6 +127,13 @@ class RatFunc:
         lead = den[-1].inv()
         self.num = tuple(c * lead for c in num)
         self.den = tuple(c * lead for c in den)
+
+    @staticmethod
+    def _trusted(num, den):
+        """Wrap a pair already in canonical form, skipping normalisation."""
+        out = object.__new__(RatFunc)
+        out.num, out.den = tuple(num), den
+        return out
 
     @staticmethod
     def const(c):
@@ -138,6 +155,8 @@ class RatFunc:
 
     def __add__(self, other):
         other = _rf(other)
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RatFunc._trusted(padd(self.num, other.num), self.den)
         return RatFunc(padd(pmul(list(self.num), list(other.den)),
                             pmul(list(other.num), list(self.den))),
                        pmul(list(self.den), list(other.den)))
@@ -145,7 +164,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(pneg(list(self.num)), list(self.den))
+        return RatFunc._trusted(pneg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-_rf(other))
@@ -155,6 +174,8 @@ class RatFunc:
 
     def __mul__(self, other):
         other = _rf(other)
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RatFunc._trusted(pmul(self.num, other.num), self.den)
         return RatFunc(pmul(list(self.num), list(other.num)),
                        pmul(list(self.den), list(other.den)))
 
@@ -199,12 +220,13 @@ class RatFunc:
     def regular_at_zero(self):
         return not self.den[0].is_zero
 
-    def eval_zero(self):
-        if not self.regular_at_zero():
-            raise PreconditionError("rational function has a pole at 0")
-        if self.is_zero:
-            return Scalar.zero()
-        return self.num[0] / self.den[0]
+    def eval(self, s0):
+        """Value at s = s0; a pole there raises PreconditionError."""
+        s0 = s0 if isinstance(s0, Scalar) else Scalar.rational(s0)
+        den = _horner(self.den, s0)
+        if den.is_zero:
+            raise PreconditionError(f"rational function has a pole at {s0}")
+        return _horner(self.num, s0) / den
 
     def __str__(self):
         num = _fmt_poly(self.num)
@@ -222,6 +244,15 @@ def _rf(x):
     if isinstance(x, Scalar) or isinstance(x, int):
         return RatFunc([x])
     raise TypeError(f"cannot coerce {type(x)} to RatFunc")
+
+
+def _horner(c, x):
+    if x.is_zero:
+        return c[0] if c else Scalar.zero()
+    acc = Scalar.zero()
+    for a in reversed(c):
+        acc = acc * x + a
+    return acc
 
 
 def _fmt_poly(c):

@@ -277,6 +277,21 @@ def test_closed_stdout_is_not_a_traceback():
     assert code == 1
 
 
+def test_parser_reused_across_calls(capsys):
+    # the parser is built once; a second call in the same process must not
+    # see the first call's verb or flags
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["rings", "conj", "--inline", '{"scalar": "i"}',
+                     "--seed", "4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"scalar": "-1*i"}
+    assert cli.main(["langton", "special", "--inline", FAMILY]) == 0
+    assert json.loads(capsys.readouterr().out) == {"splitting": [1, -1]}
+    # no seed carried over from the first call
+    assert cli.main(["jumploci", "scan", "--inline",
+                     '{"cw": %s, "k": 1, "count": 10}' % CW]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
+
+
 def test_missing_input_rejected():
     with pytest.raises(PreconditionError):
         cli.run(["rees", "build"])

@@ -1,6 +1,7 @@
 import pytest
 
-from hodgekit import linalg
+from hodgekit import langton, linalg
+from hodgekit.birkhoff import splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.langton import (DiskFamily, generic_splitting, langton_reduce,
                               langton_step, special_splitting)
@@ -140,3 +141,94 @@ def test_generic_preserved_randomized(rng, svar):
             step_in, _, _ = fam, None, None
             new, cert, _ = langton_step(fam, seed=trial)
             assert cert.verify(fam, new)
+
+
+def count_generic_calls(monkeypatch):
+    calls = []
+    real = langton.generic_splitting
+
+    def counted(family):
+        calls.append(family)
+        return real(family)
+    monkeypatch.setattr(langton, "generic_splitting", counted)
+    return calls
+
+
+def test_probe_certifies_without_generic_type(svar, monkeypatch):
+    calls = count_generic_calls(monkeypatch)
+    assert langton._generic_balanced(fixture_gap2(svar))
+    out, trail, certs = langton_reduce(fixture_gap4(svar))
+    assert calls == [] and len(certs) >= 1
+
+
+def test_failed_probes_fall_back_to_generic_type(svar, monkeypatch):
+    # the off-diagonal entry vanishes at every probe point s = 1, 2, 3, so
+    # each probed fiber is O(1) + O(-1) and only the K(s) type certifies
+    one = RatFunc([1])
+    bump = svar * (svar - one) * (svar - 2 * one) * (svar - 3 * one)
+    fam = DiskFamily([[lzs({1: ONE}), lzs({0: bump})], [Z0, lzs({-1: ONE})]])
+    for s0 in langton._PROBE_POINTS:
+        assert special_splitting(fam) == splitting_type(fam.fiber_at(s0))
+    calls = count_generic_calls(monkeypatch)
+    out, trail, certs = langton_reduce(fam)
+    assert calls, "the K(s) fallback must have run"
+    assert [r.special_type for r in trail] == [(1, -1), (0, 0)]
+    assert len(certs) == 1 and certs[0].verify(fam, out)
+    # the precondition path does not change the reduction itself
+    monkeypatch.setattr(langton, "_PROBE_POINTS", ())
+    out2, trail2, certs2 = langton_reduce(fam)
+    assert trail2 == trail and certs2 == certs
+    assert linalg.mat_eq(out2.entries, out.entries)
+
+
+def test_unbalanced_generic_messages(svar):
+    # n divides the degree, but the generic type is (1, -1)
+    bad = DiskFamily([[lzs({-1: ONE}), lzs({0: svar})], [Z0, lzs({1: ONE})]])
+    with pytest.raises(PreconditionError,
+                       match=r"^generic fiber not semistable: splitting \(1, -1\)$"):
+        langton_reduce(bad)
+    # n does not divide the degree: no probe is tried
+    odd = DiskFamily([[lzs({-1: ONE}), lzs({0: svar})], [Z0, lzs({0: ONE})]])
+    assert not langton._generic_balanced(odd)
+    with pytest.raises(PreconditionError,
+                       match=r"^generic fiber not semistable: splitting \(1, 0\)$"):
+        langton_reduce(odd)
+    with pytest.raises(PreconditionError,
+                       match=r"^generic fiber is not semistable$"):
+        langton_step(bad)
+
+
+def random_family(rng, n, svar):
+    """Degree-0 family; coefficients may vanish at the probe points."""
+    one = RatFunc([1])
+    factors = [svar, svar - one, svar * (svar - 2 * one),
+               (svar - one) * (svar - 3 * one)]
+    while True:
+        base = [0] * n
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.sample(range(n), 2)
+            base[i] += 1
+            base[j] -= 1
+        ent = [[Z0 for _ in range(n)] for _ in range(n)]
+        for k in range(n):
+            ent[k][k] = lzs({-base[k]: ONE})
+        for a in range(n):
+            for b in range(n):
+                if a != b and rng.random() < 0.8:
+                    c = rng.choice([-2, -1, 1, 2])
+                    ent[a][b] = ent[a][b] + lzs(
+                        {rng.randint(-1, 1): rng.choice(factors) * RatFunc([c])})
+        try:
+            return DiskFamily(ent)
+        except PreconditionError:
+            continue
+
+
+def test_generic_balanced_matches_generic_type(rng, svar):
+    seen = set()
+    for _ in range(20):
+        fam = random_family(rng, rng.choice([2, 3]), svar)
+        want = langton._is_balanced(generic_splitting(fam))
+        assert langton._generic_balanced(fam) == want
+        seen.add(want)
+    assert seen == {True, False}

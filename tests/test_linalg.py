@@ -33,12 +33,13 @@ def test_rank_transpose_and_permutation(rng):
         assert linalg.rank([m[i] for i in perm]) == r
 
 
-def test_det_ring_matches_det_field(rng):
+def test_det_ring_matches_leibniz(rng):
+    # idet (below) is the permutation sum; it needs only + and * of entries
     for _ in range(15):
         n = rng.randint(1, 4)
-        m = [[Scalar.rational(rng.randint(-4, 4)) for _ in range(n)]
-             for _ in range(n)]
-        assert linalg.det_ring(m, ONE, ZERO) == linalg.det_field(m, ONE, ZERO)
+        m = [[Scalar.gaussian(rng.randint(-4, 4), rng.randint(-2, 2))
+              for _ in range(n)] for _ in range(n)]
+        assert linalg.det_ring(m, ONE, ZERO) == idet(m)
 
 
 def test_minors_examples():
@@ -77,6 +78,7 @@ def test_minors_out_of_range():
 
 
 def idet(m):
+    """Leibniz permutation-sum determinant."""
     n = len(m)
     total = 0
     for p in itertools.permutations(range(n)):

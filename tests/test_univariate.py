@@ -1,0 +1,82 @@
+"""RatFunc shortcuts against the general gcd normalisation."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hodgekit.errors import PreconditionError
+from hodgekit.scalars import Scalar
+from hodgekit.univariate import RatFunc, padd, pdivmod, pgcd, pmul, pneg, ptrim
+
+ONE = Scalar.one()
+
+small = st.integers(-4, 4)
+coeffs = st.builds(Scalar.gaussian, small, small)
+polys = st.lists(coeffs, max_size=4)
+dens = st.one_of(
+    st.lists(coeffs, min_size=1, max_size=1),        # constant, often not 1
+    st.lists(coeffs, min_size=2, max_size=3)).filter(lambda d: ptrim(d))
+ratfuncs = st.builds(RatFunc, polys, dens)
+
+
+def slow(num, den):
+    """Reference: always divide out the monic gcd, then make den monic."""
+    out = object.__new__(RatFunc)
+    num, den = ptrim(num), ptrim(den)
+    if not num:
+        out.num, out.den = (), (ONE,)
+        return out
+    g = pgcd(num, den)
+    num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    lead = den[-1].inv()
+    out.num = tuple(c * lead for c in num)
+    out.den = tuple(c * lead for c in den)
+    return out
+
+
+def assert_same(got, want):
+    assert got.num == want.num and got.den == want.den
+    assert got == want and hash(got) == hash(want)
+
+
+@given(polys, dens)
+@settings(max_examples=150)
+def test_constructor_matches_gcd_route(num, den):
+    assert_same(RatFunc(num, den), slow(num, den))
+
+
+@given(ratfuncs, ratfuncs)
+@settings(max_examples=150)
+def test_field_ops_match_gcd_route(a, b):
+    an, ad, bn, bd = list(a.num), list(a.den), list(b.num), list(b.den)
+    assert_same(a + b, slow(padd(pmul(an, bd), pmul(bn, ad)), pmul(ad, bd)))
+    assert_same(a - b, slow(padd(pmul(an, bd), pneg(pmul(bn, ad))), pmul(ad, bd)))
+    assert_same(a * b, slow(pmul(an, bn), pmul(ad, bd)))
+    assert_same(-a, slow(pneg(an), ad))
+    if not b.is_zero:
+        assert_same(a / b, slow(pmul(an, bd), pmul(ad, bn)))
+
+
+def test_constant_denominator_examples():
+    two = Scalar.rational(2)
+    half = RatFunc([2, 4], [2])
+    assert half.num == (ONE, two) and half.den == (ONE,)
+    assert half == RatFunc([1, 2])
+    x = RatFunc([1, 1], [0, 3])                        # (1 + s) / (3 s)
+    assert x.den == (Scalar.zero(), ONE)
+    for y in (half, x, RatFunc([]), RatFunc([3], [6])):
+        assert_same(half + y, slow(padd(pmul([ONE, two], list(y.den)),
+                                        list(y.num)), list(y.den)))
+        assert_same(half * y, slow(pmul([ONE, two], list(y.num)), list(y.den)))
+    assert_same(half - half, slow([], [ONE]))
+    assert (half * RatFunc([])).is_zero and (half * RatFunc([])).den == (ONE,)
+
+
+def test_eval():
+    s = RatFunc.var()
+    f = (s * s + RatFunc([1])) / (s - RatFunc([2]))      # (s^2 + 1) / (s - 2)
+    assert f.eval(0) == Scalar.rational(-1) / 2
+    assert f.eval(3) == Scalar.rational(10)
+    assert f.eval(Scalar.i()).is_zero
+    assert RatFunc([]).eval(5).is_zero
+    with pytest.raises(PreconditionError):
+        f.eval(2)
