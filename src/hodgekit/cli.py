@@ -279,10 +279,9 @@ def _langton(verb, data, seed):
     if verb == "special":
         return {"splitting": list(lg.special_splitting(fam))}
     if verb == "step":
-        before = tuple(lg.special_splitting(fam))
-        new_fam, cert, _ = lg.langton_step(fam)
+        new_fam, cert, record = lg.langton_step(fam)
         return {"family": jsonio.family_to_json(new_fam),
-                "special_before": list(before),
+                "special_before": list(record.special_type),
                 "special_after": list(lg.special_splitting(new_fam)),
                 "certificate": _cert_json(cert)}
     if verb == "reduce":

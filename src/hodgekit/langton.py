@@ -185,7 +185,11 @@ def _block_valuation(entries, delta):
     return val
 
 
-def langton_step(family: DiskFamily, seed=0, max_passes=200):
+# modification passes allowed per step before giving up
+_MAX_PASSES = 200
+
+
+def langton_step(family: DiskFamily, seed=0, max_passes=_MAX_PASSES):
     """One elementary modification; returns (new family, certificate, record).
 
     Internally this repeats {factor the special fiber, absorb the constant
@@ -196,12 +200,21 @@ def langton_step(family: DiskFamily, seed=0, max_passes=200):
     passage to the maximal such quotient.  Non-termination would hand the
     generic fiber a destabilizing quotient, which the precondition forbids.
     """
-    special_type = tuple(splitting_type(family.special_bundle()))
+    special_type = tuple(special_splitting(family))
     if _is_balanced(special_type):
         raise PreconditionError("special fiber is already semistable")
     if not _generic_balanced(family):
         raise PreconditionError("generic fiber is not semistable")
+    current, certificate, _ = _step(family, special_type, seed, max_passes)
+    return current, certificate, HNRecord(step=0, special_type=special_type)
 
+
+def _step(family, special_type, seed, max_passes):
+    """``langton_step`` after its precondition checks.
+
+    ``special_type`` is the family's special splitting type; returns (new
+    family, certificate, new special splitting type).
+    """
     svar = RatFunc.var()
     n = family.n
     ident = [[LaurentZ.one(RATFUNC_S) if i == j else LaurentZ.zero(RATFUNC_S)
@@ -245,7 +258,7 @@ def langton_step(family: DiskFamily, seed=0, max_passes=200):
         right_total = linalg.mat_mul(right_total, right)
         current = DiskFamily(t2)  # regularity at s = 0 re-validated here
 
-        new_type = tuple(splitting_type(current.special_bundle()))
+        new_type = tuple(special_splitting(current))
         if new_type == special_type:
             continue
         if not new_type < special_type:
@@ -256,7 +269,7 @@ def langton_step(family: DiskFamily, seed=0, max_passes=200):
             right=tuple(tuple(r) for r in right_total))
         if not certificate.verify(family, current):
             raise InternalInvariantError("step certificate failed to re-multiply")
-        return current, certificate, HNRecord(step=0, special_type=special_type)
+        return current, certificate, new_type
 
     raise InternalInvariantError(
         "modification pass bound exceeded; retry with larger bound")
@@ -278,8 +291,8 @@ def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
     current = family
     step = 0
     prev_type = None
+    sp = tuple(special_splitting(current))
     while True:
-        sp = tuple(special_splitting(current))
         trail.append(HNRecord(step=step, special_type=sp))
         if prev_type is not None:
             if not sp < prev_type:
@@ -295,7 +308,7 @@ def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
         if step >= max_steps:
             raise InternalInvariantError(
                 "step bound exceeded; this signals an implementation bug")
-        current, cert, _ = langton_step(current, seed=seed + step)
+        current, cert, sp = _step(current, sp, seed + step, _MAX_PASSES)
         certificates.append(cert)
         step += 1
     return current, trail, certificates

@@ -1,9 +1,14 @@
-"""Exact dense linear algebra over field-like elements, plus integer SNF.
+"""Exact linear algebra over field-like elements, plus integer SNF.
 
-Matrices are plain lists of lists.  Field elements must support +, -, *, /,
-``inv()``, unary minus, equality and an ``is_zero`` property; ``Scalar``,
-``RatFunc`` and ``LaurentPoly`` (ring ops only) all qualify.  Elimination
-inverts each pivot once and scales its row by that inverse.
+Matrices are plain lists of lists; a sparse system is a list of dicts
+{column: element}.  Every field routine (rank, kernel, inverse) reads one
+sparse elimination kernel: a forward pass, ``echelon``, that inverts each
+pivot once and scales its row by that inverse, and a back-substitution
+pass, ``rref``, to reduced row echelon form.  Field elements must support
++, -, *, ``inv()``, unary minus, equality and an ``is_zero`` property;
+``Scalar`` and ``RatFunc`` qualify.  ``mat_mul``, ``det_ring`` and
+``minors`` use ring operations only, so ``LaurentPoly`` entries work too;
+``smith_normal_form`` is over Z.
 """
 
 from __future__ import annotations
@@ -56,164 +61,147 @@ def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-# -- elimination over a field -------------------------------------------
+# -- elimination over a field: one sparse kernel -------------------------
+#
+# A row is a dict {column: nonzero element}.  An echelon basis is a dict
+# {pivot column: row} whose row has 1 at its pivot and no entry left of
+# it.  ``echelon`` (the forward pass) grows such a basis; ``rref`` (the
+# back-substitution pass) clears every other pivot column from every row,
+# which makes the basis the unique reduced row echelon form of its span.
+# Everything below reads one of the two.
 
 
-def row_echelon(m):
-    """In-place-free echelon form; returns (rows, pivot column list)."""
-    rows, cols = dims(m)
-    a = [list(r) for r in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not a[i][c].is_zero:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and not a[i][c].is_zero:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivots
+def _sub(row, f, prow, skip):
+    """row -= f * prow in place, except in column ``skip``."""
+    for k, v in prow.items():
+        if k != skip:
+            acc = row.get(k)
+            acc = -(f * v) if acc is None else acc - f * v
+            if acc.is_zero:
+                row.pop(k, None)
+            else:
+                row[k] = acc
+
+
+def _reduce(row, basis):
+    """Clear pivot columns from the front of ``row`` (in place).
+
+    Returns the first column left that is not a pivot, or None when the
+    row reduces to nothing, i.e. lies in the span of the basis.
+    """
+    while row:
+        c = min(row)
+        prow = basis.get(c)
+        if prow is None:
+            return c
+        _sub(row, row.pop(c), prow, c)
+    return None
+
+
+def echelon(rows, basis=None):
+    """Forward pass: add each sparse row to an echelon basis and return it."""
+    if basis is None:
+        basis = {}
+    for row in rows:
+        row = dict(row)
+        c = _reduce(row, basis)
+        if c is not None:
+            inv = row[c].inv()
+            basis[c] = {k: v * inv for k, v in row.items()}
+    return basis
+
+
+def rref(basis):
+    """Back-substitution pass, in place, to reduced row echelon form.
+
+    Highest pivot first, so each row is cleared only by rows that are
+    already fully reduced.
+    """
+    for c in sorted(basis, reverse=True):
+        row = basis[c]
+        for h in [k for k in row if k != c and k in basis]:
+            _sub(row, row.pop(h), basis[h], h)
+    return basis
+
+
+def _sparse_row(v):
+    return {j: x for j, x in enumerate(v) if not x.is_zero}
+
+
+def _sparse(m):
+    dims(m)
+    return list(map(_sparse_row, m))
 
 
 def rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(row_echelon(m)[0])
+    return len(echelon(_sparse(m)))
 
 
 def sparse_rank(rows) -> int:
     """Rank of a system given as dicts {column: field element}."""
-    pivots = {}
-    count = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row.pop(c)
-                for k, v in pivots[c].items():
-                    if k == c:
-                        continue
-                    acc = row.get(k)
-                    acc = -(f * v) if acc is None else acc - f * v
-                    if acc.is_zero:
-                        row.pop(k, None)
-                    else:
-                        row[k] = acc
-            else:
-                inv = row[c].inv()
-                pivots[c] = {k: v * inv for k, v in row.items()}
-                count += 1
-                break
-    return count
+    return len(echelon(rows))
 
 
 def sparse_nullspace(rows, ncols, one, zero):
     """Right-kernel basis of a sparse system over a field.
 
-    Runs a reduced sparse elimination, then reads each free column off the
-    pivot rows exactly as in the dense case.
+    One vector per free column, in increasing order, read off the reduced
+    row echelon form.
     """
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row.pop(c)
-                for k, v in pivots[c].items():
-                    if k == c:
-                        continue
-                    acc = row.get(k)
-                    acc = -(f * v) if acc is None else acc - f * v
-                    if acc.is_zero:
-                        row.pop(k, None)
-                    else:
-                        row[k] = acc
-            else:
-                inv = row[c].inv()
-                norm = {k: v * inv for k, v in row.items()}
-                # back-substitute into existing pivot rows for full reduction
-                for pc, prow in pivots.items():
-                    if c in prow:
-                        f = prow.pop(c)
-                        for k, v in norm.items():
-                            if k == c:
-                                continue
-                            acc = prow.get(k)
-                            acc = -(f * v) if acc is None else acc - f * v
-                            if acc.is_zero:
-                                prow.pop(k, None)
-                            else:
-                                prow[k] = acc
-                pivots[c] = norm
-                break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
+    basis = rref(echelon(rows))
+    out = []
+    for f in range(ncols):
+        if f in basis:
+            continue
         vec = [zero] * ncols
-        vec[fcol] = one
-        for pc, prow in pivots.items():
-            coeff = prow.get(fcol)
-            if coeff is not None:
-                vec[pc] = -coeff
-        basis.append(vec)
-    return basis
+        vec[f] = one
+        for c, row in basis.items():
+            x = row.get(f)
+            if x is not None:
+                vec[c] = -x
+        out.append(vec)
+    return out
 
 
 def nullspace(m, one, zero):
     """Basis of the right kernel, as a list of column vectors (lists)."""
-    rows, cols = dims(m)
-    if rows == 0:
-        return [[one if i == j else zero for i in range(cols)] for j in range(cols)]
-    ech, pivots = row_echelon(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * cols
-        v[f] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -ech[r][f]
-        basis.append(v)
-    return basis
+    return sparse_nullspace(_sparse(m), dims(m)[1], one, zero)
+
+
+def row_echelon(m):
+    """Reduced row echelon form of a dense matrix: (rows, pivot columns)."""
+    cols = dims(m)[1]
+    basis = rref(echelon(_sparse(m)))
+    pivots = sorted(basis)
+    zero = basis[pivots[0]][pivots[0]] * 0 if pivots else None
+    return [[basis[c].get(j, zero) for j in range(cols)] for c in pivots], pivots
 
 
 def solve(m, b, one, zero):
     """One solution of m x = b over a field, or None if inconsistent."""
-    rows, cols = dims(m)
-    aug = [list(m[i]) + [b[i]] for i in range(rows)]
-    ech, pivots = row_echelon(aug)
-    for r in range(len(ech)):
-        if pivots[r] == cols:
-            return None
+    cols = dims(m)[1]
+    aug = _sparse([list(r) + [x] for r, x in zip(m, b)])
+    basis = rref(echelon(aug))
+    if cols in basis:
+        return None
     x = [zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r][cols]
-    # echelon is fully reduced, so plugging pivot values back suffices
+    for c, row in basis.items():
+        x[c] = row.get(cols, zero)
     return x
 
 
 def invert(m, one, zero):
+    """Inverse of a square matrix, read off the reduced form of [m | I]."""
     n, c = dims(m)
     if n != c:
         raise PreconditionError("only square matrices invert")
-    aug = [list(m[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    ech, pivots = row_echelon(aug)
-    if pivots[:n] != list(range(n)):
+    rows = _sparse(m)
+    for i, row in enumerate(rows):
+        row[n + i] = one
+    basis = rref(echelon(rows))
+    if any(j not in basis for j in range(n)):
         raise PreconditionError("matrix is singular")
-    return [row[n:] for row in ech[:n]]
+    return [[basis[i].get(n + j, zero) for j in range(n)] for i in range(n)]
 
 
 # -- determinants over a commutative ring (no division) ------------------

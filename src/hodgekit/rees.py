@@ -30,24 +30,8 @@ def _as_scalar_rows(rows, n):
     return out
 
 
-def _rref(rows):
-    if not rows:
-        return [], []
-    ech, pivots = linalg.row_echelon(rows)
-    return ech, pivots
-
-
-def _reduce_against(ech, pivots, v):
-    v = list(v)
-    for r, pc in enumerate(pivots):
-        f = v[pc]
-        if not f.is_zero:
-            v = [x - f * y for x, y in zip(v, ech[r])]
-    return v
-
-
-def _in_span(ech, pivots, v):
-    return all(x.is_zero for x in _reduce_against(ech, pivots, v))
+def _in_span(basis, row):
+    return linalg._reduce(dict(row), basis) is None
 
 
 class FilteredSpace:
@@ -67,16 +51,16 @@ class FilteredSpace:
         if ps != list(range(ps[0], ps[-1] + 1)):
             raise PreconditionError("filtration steps must use consecutive indices")
         self.p_min, self.p_max = ps[0], ps[-1]
-        self._rref = {}
+        # each step's span as its reduced echelon basis {pivot: row}
+        self._span = {}
         for p in ps:
             rows = _as_scalar_rows(steps[p], n)
-            self._rref[p] = _rref(rows)
-        if len(self._rref[self.p_min][0]) != n:
+            self._span[p] = linalg.rref(linalg.echelon(map(linalg._sparse_row, rows)))
+        if len(self._span[self.p_min]) != n:
             raise PreconditionError("filtration is not complete: first step must be V")
         for p in ps[:-1]:
-            ech, piv = self._rref[p]
-            for v in self._rref[p + 1][0]:
-                if not _in_span(ech, piv, v):
+            for row in self._span[p + 1].values():
+                if not _in_span(self._span[p], row):
                     raise PreconditionError(f"F^{p + 1} is not contained in F^{p}")
 
     def dim(self, p):
@@ -84,20 +68,21 @@ class FilteredSpace:
             return self.n
         if p > self.p_max:
             return 0
-        return len(self._rref[p][0])
+        return len(self._span[p])
 
     def basis(self, p):
         if p < self.p_min:
             p = self.p_min
         if p > self.p_max:
             return []
-        return [list(v) for v in self._rref[p][0]]
+        zero = Scalar.zero()
+        span = self._span[p]
+        return [[span[c].get(j, zero) for j in range(self.n)] for c in sorted(span)]
 
     def contains(self, p, v):
         if p > self.p_max:
             return all(x.is_zero for x in v)
-        ech, piv = self._rref[max(p, self.p_min)]
-        return _in_span(ech, piv, v)
+        return _in_span(self._span[max(p, self.p_min)], linalg._sparse_row(v))
 
     def steps_range(self):
         return range(self.p_min, self.p_max + 1)
@@ -139,13 +124,12 @@ def build_rees(fs: FilteredSpace) -> ReesModule:
     """Deterministic adapted basis by echelon refinement from the top step."""
     chosen = []
     weights = []
-    ech, piv = [], []
+    span = {}
     for p in range(fs.p_max, fs.p_min - 1, -1):
         for v in fs.basis(p):
-            if not _in_span(ech, piv, v):
+            if len(linalg.echelon([linalg._sparse_row(v)], span)) > len(chosen):
                 chosen.append(tuple(v))
                 weights.append(p)
-                ech, piv = _rref([list(w) for w in chosen])
     if len(chosen) != fs.n:
         raise InternalInvariantError("adapted basis has wrong size")
     for p in fs.steps_range():

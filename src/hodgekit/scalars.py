@@ -176,6 +176,8 @@ class Scalar:
 
     @staticmethod
     def rational(x):
+        if type(x) is int:
+            return _raw(x, 0, 1)
         f = Fraction(x)
         return _raw(f.numerator, 0, f.denominator)
 

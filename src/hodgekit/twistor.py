@@ -321,14 +321,8 @@ def twistor_bundle(qs: QuaternionicSpace) -> P1Bundle:
         cols.append(top + [rf_zero] * n)
 
     mat = [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)]
-    tmat = [[rf_zero] * n for _ in range(n)]
-    for j in range(n):
-        rhs = [rf_zero] * n + [rf_one if i == j else rf_zero for i in range(n)]
-        x = linalg.solve(mat, rhs, rf_one, rf_zero)
-        if x is None:
-            raise InternalInvariantError("degenerate eigenframe family")
-        for k in range(n):
-            tmat[k][j] = x[n + k]
+    # column j of T solves mat x = (0, e_j): the lower right block of mat^-1
+    tmat = [row[n:] for row in linalg.invert(mat, rf_one, rf_zero)[n:]]
     ginv = linalg.invert(tmat, rf_one, rf_zero)
     entries = [[_ratfunc_to_laurent(ginv[i][j]) for j in range(n)] for i in range(n)]
     return P1Bundle(SCALARS, entries)

@@ -4,7 +4,7 @@ import pytest
 
 from hodgekit import linalg
 from hodgekit.birkhoff import (P1Bundle, factorization_certificate, h0_twist,
-                               invert_unimodular, splitting_type)
+                               invert_unimodular, section_basis, splitting_type)
 from hodgekit.errors import PreconditionError
 from hodgekit.selftest import random_unimodular_z
 from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
@@ -131,6 +131,25 @@ def test_certificate_construct_then_recover(rng):
         for row in c:
             for x in row:
                 assert x.is_zero or x.min_exp() >= 0
+
+
+def test_section_basis_gives_sections():
+    # chart changes of diagonal bundles; at m = -3..2 every returned vector
+    # v must be a section of B(m): no component of G v has a z-power above m
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.choice([2, 3])
+        exps = [rng.randint(-2, 2) for _ in range(n)]
+        left = random_unimodular_z(rng, SCALARS, n, chart=-1, ops=4)
+        right = random_unimodular_z(rng, SCALARS, n, chart=+1, ops=4)
+        g = linalg.mat_mul(linalg.mat_mul(left, diag_bundle(exps).entries), right)
+        b = P1Bundle(SCALARS, g)
+        for m in range(-3, 3):
+            sections = section_basis(b, m)
+            assert len(sections) == h0_twist(b, m)
+            for v in sections:
+                for (gv,) in linalg.mat_mul(g, [[x] for x in v]):
+                    assert gv.is_zero or gv.max_exp() <= m
 
 
 def test_invert_unimodular_roundtrip(rng):

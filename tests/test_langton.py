@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hodgekit import langton, linalg
@@ -161,6 +163,25 @@ def test_probe_certifies_without_generic_type(svar, monkeypatch):
     assert calls == [] and len(certs) >= 1
 
 
+def test_reduce_computes_each_special_type_once(svar, monkeypatch):
+    types, probes = [], []
+    real_type, real_balanced = langton.splitting_type, langton._generic_balanced
+
+    def counted_type(bundle):
+        types.append(bundle)
+        return real_type(bundle)
+
+    def counted_balanced(family):
+        probes.append(family)
+        return real_balanced(family)
+    monkeypatch.setattr(langton, "splitting_type", counted_type)
+    monkeypatch.setattr(langton, "_generic_balanced", counted_balanced)
+    out, trail, certs = langton_reduce(fixture_gap2(svar))
+    assert [r.special_type for r in trail] == [(1, -1), (0, 0)]
+    # one special type per family on the trail, one generic check in all
+    assert len(types) == 2 and len(probes) == 1
+
+
 def test_failed_probes_fall_back_to_generic_type(svar, monkeypatch):
     # the off-diagonal entry vanishes at every probe point s = 1, 2, 3, so
     # each probed fiber is O(1) + O(-1) and only the K(s) type certifies
@@ -232,3 +253,47 @@ def test_generic_balanced_matches_generic_type(rng, svar):
         assert langton._generic_balanced(fam) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def elementary_chart(rng, n, zexp, ops=3):
+    """Product of ``ops`` elementary row operations, each adding c z^zexp
+    times one row to another."""
+    m = [[lzs({0: ONE}) if i == j else Z0 for j in range(n)] for i in range(n)]
+    for _ in range(ops):
+        i = rng.randrange(n)
+        j = rng.choice([k for k in range(n) if k != i])
+        f = lzs({zexp: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))})
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def chart_changed_family(seed, n=3, a=2):
+    """T = A(1/z) E(z, s) C(z), E = I with E[0][0] = z^a, E[0][1] = c s and
+    E[1][1] = z^-a: special type (a, 0, ..., 0, -a), balanced generic fiber."""
+    rng = random.Random(seed)
+    c = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+    e = [[lzs({0: ONE}) if i == j else Z0 for j in range(n)] for i in range(n)]
+    e[0][0] = lzs({a: ONE})
+    e[0][1] = lzs({0: RatFunc([0, c])})
+    e[1][1] = lzs({-a: ONE})
+    left, right = elementary_chart(rng, n, -1), elementary_chart(rng, n, 1)
+    return DiskFamily(linalg.mat_mul(linalg.mat_mul(left, e), right))
+
+
+def test_reduce_three_factor_families():
+    # seeds 17 and 24 raised InternalInvariantError while sparse_nullspace
+    # returned vectors outside the kernel (wrong sections of the special fiber)
+    for seed in range(25):
+        fam = chart_changed_family(seed)
+        assert special_splitting(fam) == [2, 0, -2]
+        out, trail, certs = langton_reduce(fam)
+        assert trail[-1].special_type == (0, 0, 0)
+        assert len(certs) == len(trail) - 1
+        # the same steps one at a time: each certificate re-multiplies
+        current = fam
+        for step, cert in enumerate(certs):
+            new, again, record = langton_step(current, seed=step)
+            assert again == cert and record.special_type == trail[step].special_type
+            assert cert.verify(current, new)
+            current = new
+        assert linalg.mat_eq(current.entries, out.entries)

@@ -33,6 +33,69 @@ def test_rank_transpose_and_permutation(rng):
         assert linalg.rank([m[i] for i in perm]) == r
 
 
+def test_sparse_nullspace_clears_later_pivot_columns():
+    # the second row's pivot (column 0) lies left of the first row's, and
+    # the pivot row for column 0 still carries column 1 until it is cleared
+    rows = [{1: ONE, 2: ONE}, {0: ONE, 1: ONE}]
+    want = [[ONE, -ONE, ONE]]
+    assert linalg.sparse_nullspace(rows, 3, ONE, ZERO) == want
+    assert linalg.nullspace(m_of([[0, 1, 1], [1, 1, 0]]), ONE, ZERO) == want
+
+
+def random_sparse_system(rng):
+    """Sparse rows over Q(i), some of them combinations of others, shuffled."""
+    ncols = rng.randint(1, 7)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        rows.append({c: Scalar.gaussian(rng.choice([-2, -1, 1, 2, 3]),
+                                        rng.randint(-1, 1))
+                     for c in range(ncols) if rng.random() < 0.4})
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        f = Scalar.rational(rng.randint(-2, 2))
+        combo = {c: a.get(c, ZERO) + f * b.get(c, ZERO) for c in set(a) | set(b)}
+        rows.append({c: x for c, x in combo.items() if not x.is_zero})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_sparse_nullspace_property(rng):
+    for _ in range(200):
+        rows, ncols = random_sparse_system(rng)
+        kern = linalg.sparse_nullspace(rows, ncols, ONE, ZERO)
+        for vec in kern:
+            for row in rows:
+                assert sum((x * vec[c] for c, x in row.items()), ZERO).is_zero
+        assert len(kern) == ncols - linalg.sparse_rank(rows)
+        dense = [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
+        assert kern == linalg.nullspace(dense, ONE, ZERO)
+        assert linalg.rank(dense) == linalg.sparse_rank(rows)
+
+
+def test_invert_solve_and_row_echelon(rng):
+    for _ in range(40):
+        rows, ncols = random_sparse_system(rng)
+        dense = [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
+        # the reduced form is unique: the row order must not matter
+        ech, piv = linalg.row_echelon(dense)
+        assert linalg.row_echelon(dense[::-1]) == (ech, piv)
+        assert len(piv) == linalg.rank(dense)
+        x = [Scalar.gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
+             for _ in range(ncols)]
+        b = [row[0] for row in linalg.mat_mul(dense, [[v] for v in x])]
+        y = linalg.solve(dense, b, ONE, ZERO)
+        assert [row[0] for row in linalg.mat_mul(dense, [[v] for v in y])] == b
+        n = len(dense)
+        if n == ncols:
+            if linalg.rank(dense) == n:
+                inv = linalg.invert(dense, ONE, ZERO)
+                assert linalg.mat_mul(dense, inv) == linalg.identity(n, ONE, ZERO)
+            else:
+                with pytest.raises(PreconditionError):
+                    linalg.invert(dense, ONE, ZERO)
+    assert linalg.solve(m_of([[1, 1], [2, 2]]), m_of([[1, 3]])[0], ONE, ZERO) is None
+
+
 def test_det_ring_matches_leibniz(rng):
     # idet (below) is the permutation sum; it needs only + and * of entries
     for _ in range(15):

@@ -197,4 +197,9 @@ def test_equal_values_from_different_constructors():
         assert hash(a) == hash(b)
     assert Scalar.rational(Fraction(6, 4)) == Fraction(3, 2)
     assert Scalar.rational(3) == 3 and Scalar.gaussian(3, 1) != 3
+    for k in (-7, 0, 1, True, False):
+        got = Scalar.rational(k)
+        assert_canonical(got)
+        assert got == Scalar.rational(Fraction(int(k)))
+        assert got.key() == Scalar(re=k).key()
     assert_canonical(Scalar.gaussian(Fraction(2, 4), Fraction(-5, 10)))
