@@ -1,9 +1,10 @@
 # %% [markdown]
 # Splitting types of bundles on the projective line.  A transition matrix
-# whose determinant is a unit presents a bundle; counting global sections
-# of its twists pins down the unique decomposition into line bundles, and
-# when the bounded search succeeds we also get a constructive
-# factorization G = A * D * C as a replayable certificate.
+# whose determinant is a unit presents a bundle; column reduction of that
+# matrix pins down the unique decomposition into line bundles, the global
+# sections of every twist follow from it, and when the bounded search
+# succeeds we also get a constructive factorization G = A * D * C as a
+# replayable certificate.
 
 # %%
 from hodgekit import (P1Bundle, SCALARS, LaurentZ, Scalar,

@@ -5,14 +5,23 @@ standard charts; the determinant must be a unit (nonzero constant times a
 power of z).  Convention, fixed here and inherited everywhere else: the
 line bundle O(a) has the 1x1 transition z^(-a), so h0(O(a)) = max(0, a+1).
 
-The splitting type is computed by exact h0 dimension counting, which is a
-bounded linear-algebra problem: v(z) is a polynomial vector of degree at
-most D and G v is required to have pole order at most m on the far chart.
-The degree cap D = max(0, (n-1)*dmax - ddet + m) comes from Cramer's rule
-(v = G^{-1} (G v) and the adjugate raises degrees by at most (n-1)*dmax),
-so no genuine section is missed.  A constructive factorization G = A D C
-is available as an optional certificate found by bounded search; the
-splitting type never depends on it.
+The splitting type comes from column reduction (Grothendieck 1957;
+Wolovich 1974).  Let d_j be the top z-exponent of column j and L the matrix
+of the z^(d_j) coefficients.  While L is singular, a kernel vector alpha
+gives the K[z]-unimodular column operation col_j <- sum_k (alpha_k/alpha_j)
+z^(d_j-d_k) col_k (j the support index of largest d_j), and d_j drops.
+The top coefficient of det G is det L, so sum(d) >= det_exp with equality
+exactly when L is invertible: at most sum(d) - det_exp steps, the budget.
+Then G U = H diag(z^d) with H in GL_n(K[1/z]), the Birkhoff factorisation,
+so the exponents a_j = -d_j are exact and unique over any field.
+
+Exact h0 counting stays for the Langton probes, section bases and
+certificates: v(z) is a polynomial vector of degree at most D and G v is
+required to have pole order at most m on the far chart.  The degree cap
+D = max(0, (n-1)*dmax - ddet + m) comes from Cramer's rule (v = G^{-1} (G v)
+and the adjugate raises degrees by at most (n-1)*dmax), so no genuine
+section is missed.  A constructive factorization G = A D C is an optional
+certificate found by bounded search; the splitting type never depends on it.
 """
 
 from __future__ import annotations
@@ -24,11 +33,18 @@ from . import linalg
 from .univariate import Field, LaurentZ
 
 
+def _top_exp(vec):
+    """Largest z-exponent among the nonzero entries of ``vec``."""
+    return max(e.max_exp() for e in vec if not e.is_zero)
+
+
 class P1Bundle:
     """Rank-n bundle on P^1 via an n x n Laurent transition matrix."""
 
     def __init__(self, field: Field, entries):
         n = len(entries)
+        if n == 0:
+            raise PreconditionError("transition matrix must have rank >= 1")
         for row in entries:
             if len(row) != n:
                 raise PreconditionError("transition matrix must be square")
@@ -40,18 +56,7 @@ class P1Bundle:
         if det.is_zero or not det.is_monomial():
             raise PreconditionError("transition determinant is not a unit")
         (self.det_exp, self.det_coeff), = det.terms.items()
-
-    @property
-    def max_z_degree(self):
-        out = None
-        for row in self.entries:
-            for e in row:
-                if not e.is_zero:
-                    m = e.max_exp()
-                    out = m if out is None else max(out, m)
-        if out is None:
-            raise InternalInvariantError("unit determinant with zero matrix")
-        return out
+        self.max_z_degree = max(map(_top_exp, self.entries))
 
     def twist_degree_cap(self, m):
         return max(0, (self.n - 1) * self.max_z_degree - self.det_exp + m)
@@ -110,54 +115,40 @@ def section_basis(bundle, m):
 
 
 def splitting_type(bundle: P1Bundle):
-    """The non-increasing Grothendieck exponents (a_1 >= ... >= a_n)."""
-    n = bundle.n
-    dd = bundle.det_exp
-    a_ub = (n - 1) * bundle.max_z_degree - dd
-    lo = -a_ub - 1                      # h0 vanishes here by the degree cap
-    hi = max(lo + 1, -((-dd) // n))     # Euler characteristic forces h0 > 0
-    memo = {}
-
-    def h(m):
-        if m not in memo:
-            memo[m] = h0_twist(bundle, m)
-        return memo[m]
-
-    while h(hi) == 0:   # cannot happen; cheap guard against a bad bound
-        hi += 1
-        if hi > lo + 4 * (abs(a_ub) + abs(dd) + n + 2):
-            raise InternalInvariantError("h0 probe window exhausted")
-
-    left, right = lo, hi
-    while right - left > 1:
-        mid = (left + right) // 2
-        if h(mid) > 0:
-            right = mid
-        else:
-            left = mid
-    first = right
-    if first - 1 > lo and h(first - 1) != 0:
-        raise InternalInvariantError("h0 is not monotone along the window")
-
-    exps = []
-    h_prev, c_prev = 0, 0
-    m = first
-    cap = dd + (n - 1) * abs(a_ub) + abs(dd) + n + 2
-    while c_prev < n:
-        hm = h(m)
-        c_m = hm - h_prev
-        mult = c_m - c_prev
-        if mult < 0 or c_m > n:
-            raise InternalInvariantError("h0 increments are inconsistent")
-        exps.extend([-m] * mult)
-        h_prev, c_prev = hm, c_m
-        m += 1
-        if m > max(cap, first + 1):
-            raise InternalInvariantError("splitting scan failed to close")
-    if sum(exps) != -dd:
+    """The non-increasing Grothendieck exponents (a_1 >= ... >= a_n), by
+    column reduction of the transition matrix (see the module docstring)."""
+    n, field, dd = bundle.n, bundle.field, bundle.det_exp
+    cols = [[bundle.entries[i][j] for i in range(n)] for j in range(n)]
+    deg = [_top_exp(col) for col in cols]
+    budget = sum(deg) - dd
+    for _ in range(budget):
+        if sum(deg) == dd:      # the leading coefficients are invertible
+            break
+        lead = [[cols[j][i].coeff(deg[j]) for j in range(n)] for i in range(n)]
+        kernel = linalg.nullspace(lead, field.one, field.zero)
+        if not kernel:
+            raise InternalInvariantError(
+                "invertible leading coefficients above the determinant degree")
+        alpha = kernel[0]
+        j = max((k for k in range(n) if not alpha[k].is_zero),
+                key=lambda k: deg[k])
+        inv = alpha[j].inv()
+        terms = [(cols[k], deg[j] - deg[k], alpha[k] * inv)
+                 for k in range(n) if not alpha[k].is_zero]
+        new = []
+        for i in range(n):
+            acc = {}
+            for col, shift, f in terms:
+                for e, c in col[i].terms.items():
+                    e += shift
+                    acc[e] = acc[e] + c * f if e in acc else c * f
+            new.append(LaurentZ(field, acc))
+        cols[j], deg[j] = new, _top_exp(new)
+    if sum(deg) != dd:
         raise InternalInvariantError(
-            f"splitting sum {sum(exps)} != -det exponent {-dd}")
-    return exps
+            f"column degrees sum to {sum(deg)}, not the determinant degree "
+            f"{dd}, after the budget of {max(budget, 0)} reduction steps")
+    return sorted((-d for d in deg), reverse=True)
 
 
 def _adjugate(mat, field):

@@ -279,10 +279,11 @@ def _langton(verb, data, seed):
     if verb == "special":
         return {"splitting": list(lg.special_splitting(fam))}
     if verb == "step":
-        new_fam, cert, record = lg.langton_step(fam)
+        before = lg._checked_special_type(fam)
+        new_fam, cert, after = lg._step(fam, before)
         return {"family": jsonio.family_to_json(new_fam),
-                "special_before": list(record.special_type),
-                "special_after": list(lg.special_splitting(new_fam)),
+                "special_before": list(before),
+                "special_after": list(after),
                 "certificate": _cert_json(cert)}
     if verb == "reduce":
         out, trail, certs = lg.langton_reduce(fam)

@@ -41,6 +41,8 @@ class DiskFamily:
 
     def __init__(self, entries):
         n = len(entries)
+        if n == 0:
+            raise PreconditionError("family matrix must have rank >= 1")
         for row in entries:
             if len(row) != n:
                 raise PreconditionError("family matrix must be square")
@@ -200,16 +202,22 @@ def langton_step(family: DiskFamily, seed=0, max_passes=_MAX_PASSES):
     passage to the maximal such quotient.  Non-termination would hand the
     generic fiber a destabilizing quotient, which the precondition forbids.
     """
+    special_type = _checked_special_type(family)
+    current, certificate, _ = _step(family, special_type, seed, max_passes)
+    return current, certificate, HNRecord(step=0, special_type=special_type)
+
+
+def _checked_special_type(family):
+    """The special type, after the preconditions of ``langton_step``."""
     special_type = tuple(special_splitting(family))
     if _is_balanced(special_type):
         raise PreconditionError("special fiber is already semistable")
     if not _generic_balanced(family):
         raise PreconditionError("generic fiber is not semistable")
-    current, certificate, _ = _step(family, special_type, seed, max_passes)
-    return current, certificate, HNRecord(step=0, special_type=special_type)
+    return special_type
 
 
-def _step(family, special_type, seed, max_passes):
+def _step(family, special_type, seed=0, max_passes=_MAX_PASSES):
     """``langton_step`` after its precondition checks.
 
     ``special_type`` is the family's special splitting type; returns (new

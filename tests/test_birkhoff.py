@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import linalg
 from hodgekit.birkhoff import (P1Bundle, factorization_certificate, h0_twist,
                                invert_unimodular, section_basis, splitting_type)
 from hodgekit.errors import PreconditionError
+from hodgekit.scalars import Scalar
 from hodgekit.selftest import random_unimodular_z
 from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
 
@@ -171,3 +173,104 @@ def test_ratfun_field_bundles(svar):
     assert splitting_type(b) == [0, 0]
     b2 = P1Bundle(RATFUNC_S, [[lzs({-2: one}), z0], [z0, lzs({1: one})]])
     assert splitting_type(b2) == [2, -1]
+
+
+def test_rank_zero_rejected():
+    with pytest.raises(PreconditionError, match="rank >= 1"):
+        P1Bundle(SCALARS, [])
+
+
+# -- column reduction against hidden splitting types and the h0 oracle ----
+
+
+def _coefficient(rng, field):
+    c = Scalar.rational(rng.choice([-3, -2, -1, 1, 2, 3]))
+    if field is SCALARS:
+        return c
+    return RatFunc([c, Scalar.rational(rng.randint(-2, 2))])   # c + k*s
+
+
+def elementary_chain(rng, field, n, chart, count):
+    """Product of ``count`` factors I + c z^(chart*e) E_ij with e <= 2:
+    invertible over K[z] (chart=+1) or over K[1/z] (chart=-1)."""
+    one, zero = LaurentZ.one(field), LaurentZ.zero(field)
+    mat = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    if n == 1:
+        return mat
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        add = LaurentZ(field, {chart * rng.randint(0, 2): _coefficient(rng, field)})
+        mat[i] = [x + add * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+def hidden_type_bundle(rng, field, exps, count):
+    """A(1/z) * diag(z^(-a)) * C(z) with the splitting type ``exps``."""
+    n = len(exps)
+    left = elementary_chain(rng, field, n, -1, count)
+    right = elementary_chain(rng, field, n, +1, count)
+    g = linalg.mat_mul(linalg.mat_mul(left, diag_bundle(exps, field).entries),
+                       right)
+    return P1Bundle(field, g)
+
+
+def assert_type_and_h0_window(b, exps):
+    a = sorted(exps, reverse=True)
+    assert splitting_type(b) == a
+    # h0 jumps only inside this window; outside it the counts are 0 or affine
+    for m in range(-a[0] - 1, -a[-1] + 2):
+        assert h0_twist(b, m) == sum(max(0, x + m + 1) for x in a), m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_column_reduction_recovers_hidden_type(n):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        exps = [rng.randint(-2, 2) for _ in range(n)]
+        b = hidden_type_bundle(rng, SCALARS, exps, count=rng.randint(3, 5))
+        assert_type_and_h0_window(b, exps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_column_reduction_over_ratfunc(n):
+    rng = random.Random(2000 + n)
+    for _ in range(3):
+        exps = [rng.randint(-2, 2) for _ in range(n)]
+        b = hidden_type_bundle(rng, RATFUNC_S, exps, count=3)
+        assert splitting_type(b) == sorted(exps, reverse=True)
+    # h0 over K(s) pays for coefficient growth in RatFunc elimination (a
+    # 2 x 2 bundle with three factors per side takes about a minute), so
+    # the h0 window is checked with one elementary factor per side
+    b = hidden_type_bundle(rng, RATFUNC_S, exps, count=1)
+    assert_type_and_h0_window(b, exps)
+
+
+def test_column_reduction_large_degree_excess():
+    # alternating z^2 shears make the column degrees grow far past the
+    # determinant degree; the reduction must walk all the way back down
+    n, exps = 3, [2, 0, -1]
+    one, zero = LaurentZ.one(SCALARS), LaurentZ.zero(SCALARS)
+    right = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in range(6):
+        i, j = (k % n, (k + 1) % n)
+        shear = LaurentZ(SCALARS, {2: Scalar.rational(k + 1)})
+        right[i] = [x + shear * y for x, y in zip(right[i], right[j])]
+    g = linalg.mat_mul(diag_bundle(exps).entries, right)
+    b = P1Bundle(SCALARS, g)
+    col_degrees = [max(g[i][j].max_exp() for i in range(n) if not g[i][j].is_zero)
+                   for j in range(n)]
+    assert sum(col_degrees) - b.det_exp >= 10
+    assert_type_and_h0_window(b, exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 4),
+       count=st.integers(0, 4))
+def test_type_invariant_under_chart_change(seed, n, count):
+    rng = random.Random(seed)
+    b = hidden_type_bundle(rng, SCALARS,
+                           [rng.randint(-3, 3) for _ in range(n)], count)
+    left = elementary_chain(rng, SCALARS, n, -1, count)
+    right = elementary_chain(rng, SCALARS, n, +1, count)
+    moved = linalg.mat_mul(linalg.mat_mul(left, b.entries), right)
+    assert splitting_type(P1Bundle(SCALARS, moved)) == splitting_type(b)

@@ -219,6 +219,44 @@ def test_langton_verbs():
     assert again["steps"] == 0
 
 
+RANK0 = '{"family": {"rank": 0, "entries": []}}'
+
+
+@pytest.mark.parametrize("verb", ["generic", "special", "step", "reduce"])
+def test_langton_rank_zero_is_a_precondition(verb, capsys):
+    assert cli.main(["langton", verb, "--inline", RANK0]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"kind": "precondition",
+                   "reason": "family matrix must have rank >= 1"}
+
+
+def test_langton_rank_zero_subprocess_has_no_traceback():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgekit.cli", "langton", "reduce",
+         "--inline", RANK0],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+
+
+def test_langton_step_reuses_the_special_type_after(monkeypatch):
+    # one special type before the step, one after; the handler computes
+    # no third one for special_after
+    from hodgekit import langton
+    calls = []
+    real = langton.splitting_type
+
+    def counted(bundle):
+        calls.append(bundle)
+        return real(bundle)
+    monkeypatch.setattr(langton, "splitting_type", counted)
+    out = run_ok(["langton", "step", "--input", "fixtures/langton_gap2.json"])
+    assert out["special_before"] == [1, -1] and out["special_after"] == [0, 0]
+    assert len(calls) == 2
+
+
 def test_selftest_requires_seed_and_runs():
     with pytest.raises(PreconditionError):
         cli.run(["selftest"])
