@@ -13,20 +13,20 @@ z^(d_j-d_k) col_k (j the support index of largest d_j), and d_j drops.
 The top coefficient of det G is det L, so sum(d) >= det_exp with equality
 exactly when L is invertible: at most sum(d) - det_exp steps, the budget.
 Then G U = H diag(z^d) with H in GL_n(K[1/z]), the Birkhoff factorisation,
-so the exponents a_j = -d_j are exact and unique over any field.
+so the exponents a_j = -d_j are exact and unique over any field.  The
+same reduction certifies itself: logging its column operations gives U and
+U^(-1), hence the factorization G = A D C with A = H, D = diag(z^d) and
+C = U^(-1) (Beckermann-Labahn-Villard 2006), checked by re-multiplication.
 
-Exact h0 counting stays for the Langton probes, section bases and
-certificates: v(z) is a polynomial vector of degree at most D and G v is
-required to have pole order at most m on the far chart.  The degree cap
+Exact h0 counting stays for the Langton probes and section bases: v(z) is
+a polynomial vector of degree at most D and G v is required to have pole
+order at most m on the far chart.  The degree cap
 D = max(0, (n-1)*dmax - ddet + m) comes from Cramer's rule (v = G^{-1} (G v)
 and the adjugate raises degrees by at most (n-1)*dmax), so no genuine
-section is missed.  A constructive factorization G = A D C is an optional
-certificate found by bounded search; the splitting type never depends on it.
+section is missed.
 """
 
 from __future__ import annotations
-
-import random
 
 from .errors import PreconditionError, InternalInvariantError
 from . import linalg
@@ -114,13 +114,18 @@ def section_basis(bundle, m):
     return out
 
 
-def splitting_type(bundle: P1Bundle):
-    """The non-increasing Grothendieck exponents (a_1 >= ... >= a_n), by
-    column reduction of the transition matrix (see the module docstring)."""
+def _column_reduce(bundle: P1Bundle):
+    """Column reduction of the transition matrix (see the module docstring).
+
+    Returns the reduced columns, their top exponents d_j and the log of
+    column operations: each entry (j, [(k, shift, factor), ...]) replaced
+    col_j by the sum of factor * z^shift * col_k, with the k = j term 1.
+    """
     n, field, dd = bundle.n, bundle.field, bundle.det_exp
     cols = [[bundle.entries[i][j] for i in range(n)] for j in range(n)]
     deg = [_top_exp(col) for col in cols]
     budget = sum(deg) - dd
+    log = []
     for _ in range(budget):
         if sum(deg) == dd:      # the leading coefficients are invertible
             break
@@ -133,22 +138,52 @@ def splitting_type(bundle: P1Bundle):
         j = max((k for k in range(n) if not alpha[k].is_zero),
                 key=lambda k: deg[k])
         inv = alpha[j].inv()
-        terms = [(cols[k], deg[j] - deg[k], alpha[k] * inv)
-                 for k in range(n) if not alpha[k].is_zero]
+        ops = [(k, deg[j] - deg[k], alpha[k] * inv)
+               for k in range(n) if not alpha[k].is_zero]
         new = []
         for i in range(n):
             acc = {}
-            for col, shift, f in terms:
-                for e, c in col[i].terms.items():
+            for k, shift, f in ops:
+                for e, c in cols[k][i].terms.items():
                     e += shift
                     acc[e] = acc[e] + c * f if e in acc else c * f
             new.append(LaurentZ(field, acc))
+        log.append((j, ops))
         cols[j], deg[j] = new, _top_exp(new)
     if sum(deg) != dd:
         raise InternalInvariantError(
             f"column degrees sum to {sum(deg)}, not the determinant degree "
             f"{dd}, after the budget of {max(budget, 0)} reduction steps")
+    return cols, deg, log
+
+
+def splitting_type(bundle: P1Bundle):
+    """The non-increasing Grothendieck exponents (a_1 >= ... >= a_n), by
+    column reduction of the transition matrix (see the module docstring)."""
+    _, deg, _ = _column_reduce(bundle)
     return sorted((-d for d in deg), reverse=True)
+
+
+def _reduced_frame(bundle: P1Bundle, inverse):
+    """(A, d, V) from one column reduction G U = A diag(z^d): A lies in
+    GL_n(K[1/z]), U in GL_n(K[z]) is the product of the logged column
+    operations, and V is U, or U^(-1) when ``inverse`` (each logged step
+    undone by the row operations row_k -= factor z^shift row_j, k != j)."""
+    cols, deg, log = _column_reduce(bundle)
+    n, field = bundle.n, bundle.field
+    amat = [[cols[j][i].shift(-deg[j]) for j in range(n)] for i in range(n)]
+    mat = linalg.identity(n, LaurentZ.one(field), LaurentZ.zero(field))
+    for j, ops in log:
+        for k, shift, f in ops:
+            if k == j:
+                continue
+            if inverse:
+                mat[k] = [x - y.shift(shift).scale(f)
+                          for x, y in zip(mat[k], mat[j])]
+            else:
+                for row in mat:
+                    row[j] = row[j] + row[k].shift(shift).scale(f)
+    return amat, deg, mat
 
 
 def _adjugate(mat, field):
@@ -166,101 +201,33 @@ def _adjugate(mat, field):
     return adj
 
 
-def _is_unit_constant(p):
-    return (not p.is_zero) and p.is_monomial() and p.min_exp() == 0
-
-
 def invert_unimodular(mat, field):
     """Inverse of a matrix with constant unit determinant; entries stay
     in the same chart ring because the adjugate does."""
     one, zero = LaurentZ.one(field), LaurentZ.zero(field)
     det = linalg.det_ring(mat, one, zero)
-    if not _is_unit_constant(det):
+    if det.is_zero or not det.is_monomial() or det.min_exp() != 0:
         raise PreconditionError("matrix determinant is not a unit constant")
     dinv = det.coeff(0).inv()
     adj = _adjugate(mat, field)
     return [[x.scale(dinv) for x in row] for row in adj]
 
 
-def factorization_certificate(bundle: P1Bundle, seed=0, tries=60):
-    """Optional constructive factorization G = A * D * C.
+def factorization_certificate(bundle: P1Bundle):
+    """Constructive Birkhoff factorization G = A * D * C.
 
     A is invertible over polynomials in 1/z, C over polynomials in z, and
-    D = diag(z^(-a_i)) carries the splitting type.  Returns None when the
-    bounded search finds no unimodular section frame; callers must not
-    rely on success.
+    D = diag(z^(d_j)) = diag(z^(-a_j)) carries the splitting type, in the
+    column order of the reduction (not sorted).  All three come from the
+    column reduction behind ``splitting_type``: G U = A D, and C = U^(-1).
+    The product is re-multiplied before it is returned.
     """
-    field = bundle.field
-    n = bundle.n
-    one, zero = LaurentZ.one(field), LaurentZ.zero(field)
-
-    diagonal = all(bundle.entries[i][j].is_zero
-                   for i in range(n) for j in range(n) if i != j)
-    if diagonal and all(bundle.entries[i][i].is_monomial() for i in range(n)):
-        amat = [[LaurentZ.const(field, bundle.entries[i][i].coeff(
-                     bundle.entries[i][i].min_exp())) if i == j else zero
-                 for j in range(n)] for i in range(n)]
-        dmat = [[LaurentZ.monomial(field, bundle.entries[i][i].min_exp())
-                 if i == j else zero for j in range(n)] for i in range(n)]
-        cmat = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return amat, dmat, cmat
-
-    exps = splitting_type(bundle)
-
-    bases = {}
-    for a in sorted(set(exps), reverse=True):
-        bases[a] = section_basis(bundle, -a)
-        if not bases[a]:
-            raise InternalInvariantError("missing sections for a computed exponent")
-
-    rng = random.Random(seed)
-
-    def assemble(columns):
-        vmat = [[columns[j][i] for j in range(n)] for i in range(n)]
-        det = linalg.det_ring(vmat, one, zero)
-        if not _is_unit_constant(det):
-            return None
-        gv = linalg.mat_mul(bundle.entries, vmat)
-        amat = [[gv[i][j].shift(exps[j]) for j in range(n)] for i in range(n)]
-        for row in amat:
-            for x in row:
-                if not x.is_zero and x.max_exp() > 0:
-                    return None
-        dmat = [[LaurentZ.monomial(field, -exps[i]) if i == j else zero
-                 for j in range(n)] for i in range(n)]
-        cmat = invert_unimodular(vmat, field)
-        recon = linalg.mat_mul(linalg.mat_mul(amat, dmat), cmat)
-        if not linalg.mat_eq(recon, bundle.entries):
-            return None
-        return amat, dmat, cmat
-
-    # natural attempt: the k-th repeat of an exponent takes the k-th basis
-    # section of its twist, then seeded random combinations as a rescue
-    counters = {}
-    natural = []
-    for a in exps:
-        k = counters.get(a, 0)
-        counters[a] = k + 1
-        basis = bases[a]
-        natural.append(basis[k % len(basis)])
-    result = assemble(natural)
-    if result is not None:
-        return result
-
-    for _ in range(tries):
-        cols = []
-        for a in exps:
-            basis = bases[a]
-            coeffs = [rng.randint(-3, 3) for _ in basis]
-            if not any(coeffs):
-                coeffs[rng.randrange(len(basis))] = 1
-            v = [LaurentZ.zero(field) for _ in range(n)]
-            for cf, b in zip(coeffs, basis):
-                if cf:
-                    sc = field.one * cf
-                    v = [x + y.scale(sc) for x, y in zip(v, b)]
-            cols.append(v)
-        result = assemble(cols)
-        if result is not None:
-            return result
-    return None
+    n, field = bundle.n, bundle.field
+    amat, deg, cmat = _reduced_frame(bundle, inverse=True)
+    zero = LaurentZ.zero(field)
+    dmat = [[LaurentZ.monomial(field, deg[i]) if i == j else zero
+             for j in range(n)] for i in range(n)]
+    recon = linalg.mat_mul(linalg.mat_mul(amat, dmat), cmat)
+    if not linalg.mat_eq(recon, bundle.entries):
+        raise InternalInvariantError("Birkhoff certificate failed to re-multiply")
+    return amat, dmat, cmat

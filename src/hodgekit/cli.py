@@ -25,9 +25,6 @@ from . import gm_action as gm
 from . import langton as lg
 from .selftest import run_selftest
 
-RANDOMIZED = {("jumploci", "scan"), ("selftest", None)}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise PreconditionError(message)
@@ -279,11 +276,11 @@ def _langton(verb, data, seed):
     if verb == "special":
         return {"splitting": list(lg.special_splitting(fam))}
     if verb == "step":
-        before = lg._checked_special_type(fam)
+        before = lg._checked_special(fam)
         new_fam, cert, after = lg._step(fam, before)
         return {"family": jsonio.family_to_json(new_fam),
-                "special_before": list(before),
-                "special_after": list(after),
+                "special_before": list(before.type),
+                "special_after": list(after.type),
                 "certificate": _cert_json(cert)}
     if verb == "reduce":
         out, trail, certs = lg.langton_reduce(fam)

@@ -8,12 +8,13 @@ but the special one is not, one elementary modification
 
     T' = diag(s^-delta) * A0^(-1) * T * C0^(-1) * diag(s^delta)
 
-with T|_(s=0) = A0 D C0 a constructive factorization and delta_i = 1
-exactly on the summands of below-average degree (the destabilizing
-quotient) strictly improves the special fiber; iterating terminates with
-a balanced special fiber and never moves the generic one.  Every step
-carries the pair (L, R) of fraction-field-invertible chart matrices with
-L T R = T', checkable by exact re-multiplication.
+with T|_(s=0) = A0 D C0 the Birkhoff factorization from one column
+reduction of the special fiber (C0^(-1) is the reduction's own transform)
+and delta_i = 1 exactly on the summands of below-average degree (the
+destabilizing quotient) strictly improves the special fiber; iterating
+terminates with a balanced special fiber and never moves the generic one.
+Every step carries the pair (L, R) of fraction-field-invertible chart
+matrices with L T R = T', checkable by exact re-multiplication.
 
 The precondition that the generic fiber is balanced is certified by
 specialisation: h0 is upper semicontinuous in s, so h0(B(-k-1)) = 0 on the
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .errors import PreconditionError, InternalInvariantError
 from .scalars import Scalar
 from . import linalg
-from .birkhoff import (P1Bundle, factorization_certificate, h0_twist,
+from .birkhoff import (P1Bundle, _reduced_frame, h0_twist,
                        invert_unimodular, splitting_type)
 from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
 
@@ -187,6 +188,16 @@ def _block_valuation(entries, delta):
     return val
 
 
+class _SpecialFiber:
+    """T|_(s=0) U = A0 diag(z^d) from one column reduction of the special
+    fiber: A0 invertible over K[1/z], U over K[z], d in column order."""
+
+    def __init__(self, family: DiskFamily):
+        self.a0, self.d, self.u = _reduced_frame(family.special_bundle(),
+                                                 inverse=False)
+        self.type = tuple(sorted((-x for x in self.d), reverse=True))
+
+
 # modification passes allowed per step before giving up
 _MAX_PASSES = 200
 
@@ -201,53 +212,46 @@ def langton_step(family: DiskFamily, seed=0, max_passes=_MAX_PASSES):
     a thicker neighbourhood of s = 0, and the repetition is exactly the
     passage to the maximal such quotient.  Non-termination would hand the
     generic fiber a destabilizing quotient, which the precondition forbids.
+    ``seed`` is accepted and ignored: the step is deterministic.
     """
-    special_type = _checked_special_type(family)
-    current, certificate, _ = _step(family, special_type, seed, max_passes)
-    return current, certificate, HNRecord(step=0, special_type=special_type)
+    special = _checked_special(family)
+    current, certificate, _ = _step(family, special, max_passes)
+    return current, certificate, HNRecord(step=0, special_type=special.type)
 
 
-def _checked_special_type(family):
-    """The special type, after the preconditions of ``langton_step``."""
-    special_type = tuple(special_splitting(family))
-    if _is_balanced(special_type):
+def _checked_special(family):
+    """The factored special fiber, after the preconditions of ``langton_step``."""
+    special = _SpecialFiber(family)
+    if _is_balanced(special.type):
         raise PreconditionError("special fiber is already semistable")
     if not _generic_balanced(family):
         raise PreconditionError("generic fiber is not semistable")
-    return special_type
+    return special
 
 
-def _step(family, special_type, seed=0, max_passes=_MAX_PASSES):
+def _step(family, special, max_passes=_MAX_PASSES):
     """``langton_step`` after its precondition checks.
 
-    ``special_type`` is the family's special splitting type; returns (new
-    family, certificate, new special splitting type).
+    ``special`` is the family's factored special fiber; returns (new
+    family, certificate, factored special fiber of the new family).
     """
     svar = RatFunc.var()
     n = family.n
-    ident = [[LaurentZ.one(RATFUNC_S) if i == j else LaurentZ.zero(RATFUNC_S)
-              for j in range(n)] for i in range(n)]
-    left_total, right_total = ident, [list(r) for r in ident]
+    special_type = special.type
+    left_total = right_total = linalg.identity(
+        n, LaurentZ.one(RATFUNC_S), LaurentZ.zero(RATFUNC_S))
     current = family
 
     for _ in range(max_passes):
-        special = current.special_bundle()
-        cert = factorization_certificate(special, seed=seed)
-        if cert is None:
-            cert = factorization_certificate(special, seed=seed + 1, tries=400)
-        if cert is None:
-            raise InternalInvariantError(
-                "factorization certificate search failed; retry with larger bound")
-        a0, dmat, c0 = cert
-        # exponents of D carry the special splitting: D_ii = z^(-a_i)
-        a_from_d = [-next(iter(dmat[i][i].terms)) for i in range(n)]
-        avg = Fraction(sum(a_from_d), n)
-        delta = [1 if a < avg else 0 for a in a_from_d]
+        # T|_(s=0) = A0 D U^(-1) with D_jj = z^(d_j) = z^(-a_j)
+        exps = [-d for d in special.d]
+        avg = Fraction(sum(exps), n)
+        delta = [1 if a < avg else 0 for a in exps]
         if not any(delta) or all(delta):
             raise InternalInvariantError("destabilizing index set must be proper")
 
-        a0_inv = _embed_scalar_matrix(invert_unimodular(a0, SCALARS))
-        c0_inv = _embed_scalar_matrix(invert_unimodular(c0, SCALARS))
+        a0_inv = _embed_scalar_matrix(invert_unimodular(special.a0, SCALARS))
+        c0_inv = _embed_scalar_matrix(special.u)
         t1 = linalg.mat_mul(linalg.mat_mul(a0_inv, current.entries), c0_inv)
         v = _block_valuation(t1, delta)
         if v is None or v < 1:
@@ -266,18 +270,18 @@ def _step(family, special_type, seed=0, max_passes=_MAX_PASSES):
         right_total = linalg.mat_mul(right_total, right)
         current = DiskFamily(t2)  # regularity at s = 0 re-validated here
 
-        new_type = tuple(special_splitting(current))
-        if new_type == special_type:
+        special = _SpecialFiber(current)
+        if special.type == special_type:
             continue
-        if not new_type < special_type:
+        if not special.type < special_type:
             raise InternalInvariantError(
-                f"special type must drop: {special_type} -> {new_type}")
+                f"special type must drop: {special_type} -> {special.type}")
         certificate = StepCertificate(
             left=tuple(tuple(r) for r in left_total),
             right=tuple(tuple(r) for r in right_total))
         if not certificate.verify(family, current):
             raise InternalInvariantError("step certificate failed to re-multiply")
-        return current, certificate, new_type
+        return current, certificate, special
 
     raise InternalInvariantError(
         "modification pass bound exceeded; retry with larger bound")
@@ -289,6 +293,8 @@ def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
     Requires a semistable generic fiber (the rank must divide the total
     degree).  The trail of special splitting types decreases strictly in
     lexicographic order, which both enforces and certifies termination.
+    Each special fiber is column-reduced once.  ``seed`` is accepted and
+    ignored: the reduction is deterministic.
     """
     if not _generic_balanced(family):
         raise PreconditionError(
@@ -299,8 +305,9 @@ def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
     current = family
     step = 0
     prev_type = None
-    sp = tuple(special_splitting(current))
+    special = _SpecialFiber(current)
     while True:
+        sp = special.type
         trail.append(HNRecord(step=step, special_type=sp))
         if prev_type is not None:
             if not sp < prev_type:
@@ -316,7 +323,7 @@ def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
         if step >= max_steps:
             raise InternalInvariantError(
                 "step bound exceeded; this signals an implementation bug")
-        current, cert, sp = _step(current, sp, seed + step, _MAX_PASSES)
+        current, cert, special = _step(current, special)
         certificates.append(cert)
         step += 1
     return current, trail, certificates

@@ -21,7 +21,7 @@ from .errors import PreconditionError, InternalInvariantError
 from . import linalg
 from .birkhoff import P1Bundle
 from .scalars import Scalar
-from .univariate import LaurentZ, RatFunc, SCALARS
+from .univariate import LaurentZ, SCALARS
 
 
 def _conj_mat(m):
@@ -302,41 +302,18 @@ def twistor_bundle(qs: QuaternionicSpace) -> P1Bundle:
 
     On the complexification (w1, w2) the -i eigenspace of I_lambda is the
     image of the -i eigenspace of I under (1 - i lambda J)^(-1), spanned by
-    the columns (i lambda J_m e_j, e_j).  Expressing the chart-at-infinity
-    quotient frame in the finite-chart one by exact elimination over
-    rational functions of lambda yields the transition matrix; its
-    splitting type must be (1, ..., 1).
+    the columns (i lambda J_m e_j, e_j).  With the constant complement
+    frame (e_j, 0) the frame matrix is M = [[i lambda J_m, 1], [1, 0]],
+    whose inverse is [[0, 1], [1, -i lambda J_m]].  The chart-at-infinity
+    quotient frame is therefore expressed by T = -i lambda J_m, and the
+    transition matrix is G = T^(-1) = -(i / lambda) conj(J_m), because
+    J_m^(-1) = -conj(J_m).  Its splitting type must be (1, ..., 1).
     """
     n = qs.dim
-    rf_one, rf_zero = RatFunc([1]), RatFunc([])
-    ivar = RatFunc([Scalar.zero(), Scalar.i()])  # i * lambda
-
-    cols = []
-    for j in range(n):  # moving frame of the eigenspace family
-        top = [ivar * RatFunc([qs.jm[i][j]]) for i in range(n)]
-        bot = [rf_one if i == j else rf_zero for i in range(n)]
-        cols.append(top + bot)
-    for j in range(n):  # constant frame spanning the complementary block
-        top = [rf_one if i == j else rf_zero for i in range(n)]
-        cols.append(top + [rf_zero] * n)
-
-    mat = [[cols[j][i] for j in range(2 * n)] for i in range(2 * n)]
-    # column j of T solves mat x = (0, e_j): the lower right block of mat^-1
-    tmat = [row[n:] for row in linalg.invert(mat, rf_one, rf_zero)[n:]]
-    ginv = linalg.invert(tmat, rf_one, rf_zero)
-    entries = [[_ratfunc_to_laurent(ginv[i][j]) for j in range(n)] for i in range(n)]
+    minus_i = -Scalar.i()
+    entries = [[LaurentZ(SCALARS, {-1: minus_i * qs.jm[i][j].conj()})
+                for j in range(n)] for i in range(n)]
     return P1Bundle(SCALARS, entries)
-
-
-def _ratfunc_to_laurent(rf: RatFunc) -> LaurentZ:
-    if rf.is_zero:
-        return LaurentZ.zero(SCALARS)
-    den = list(rf.den)
-    k = len(den) - 1
-    if any(not c.is_zero for c in den[:-1]):
-        raise InternalInvariantError("transition entry is not Laurent")
-    lead = den[-1].inv()
-    return LaurentZ(SCALARS, {t - k: c * lead for t, c in enumerate(rf.num)})
 
 
 # -- quadratic maps equivariant for the structures ------------------------

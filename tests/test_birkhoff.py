@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgekit import linalg
+from hodgekit import birkhoff, linalg
 from hodgekit.birkhoff import (P1Bundle, factorization_certificate, h0_twist,
                                invert_unimodular, section_basis, splitting_type)
 from hodgekit.errors import PreconditionError
@@ -113,16 +113,14 @@ def test_certificate_worked_example():
 
 
 def test_certificate_construct_then_recover(rng):
-    for trial in range(15):
+    for _ in range(15):
         n = rng.randint(2, 3)
         exps = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
         left = random_unimodular_z(rng, SCALARS, n, chart=-1)
         right = random_unimodular_z(rng, SCALARS, n, chart=+1)
         g = linalg.mat_mul(linalg.mat_mul(left, diag_bundle(exps).entries), right)
         b = P1Bundle(SCALARS, g)
-        cert = factorization_certificate(b, seed=trial)
-        assert cert is not None
-        a, d, c = cert
+        a, d, c = factorization_certificate(b)
         got = sorted((-next(iter(d[i][i].terms)) for i in range(n)), reverse=True)
         assert got == exps
         assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(a, d), c), b.entries)
@@ -243,6 +241,35 @@ def test_column_reduction_over_ratfunc(n):
     # the h0 window is checked with one elementary factor per side
     b = hidden_type_bundle(rng, RATFUNC_S, exps, count=1)
     assert_type_and_h0_window(b, exps)
+
+
+def _no_h0_system(*args):
+    raise AssertionError("a certificate must not build an h0 system")
+
+
+@pytest.mark.parametrize("field,n", [(SCALARS, n) for n in range(1, 7)]
+                         + [(RATFUNC_S, n) for n in range(1, 4)],
+                         ids=[f"qi-{n}" for n in range(1, 7)]
+                         + [f"ks-{n}" for n in range(1, 4)])
+def test_certificate_for_hidden_type(field, n, monkeypatch):
+    monkeypatch.setattr(birkhoff, "section_basis", _no_h0_system)
+    monkeypatch.setattr(birkhoff, "h0_twist", _no_h0_system)
+    rng = random.Random(3000 + n)
+    for _ in range(3):
+        exps = [rng.randint(-2, 2) for _ in range(n)]
+        b = hidden_type_bundle(rng, field, exps, count=rng.randint(3, 5))
+        a, d, c = factorization_certificate(b)
+        assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(a, d), c), b.entries)
+        # A over polynomials in 1/z, C over polynomials in z
+        assert all(x.is_zero or x.max_exp() <= 0 for row in a for x in row)
+        assert all(x.is_zero or x.min_exp() >= 0 for row in c for x in row)
+        # D = diag(z^(-a_j)), the exponents in any order
+        for i in range(n):
+            for j in range(n):
+                assert d[i][j].is_zero != (i == j)
+            assert d[i][i].is_monomial() and d[i][i].coeff(d[i][i].max_exp()) == field.one
+        got = sorted((-d[i][i].max_exp() for i in range(n)), reverse=True)
+        assert got == splitting_type(b) == sorted(exps, reverse=True)
 
 
 def test_column_reduction_large_degree_excess():

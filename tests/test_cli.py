@@ -242,16 +242,16 @@ def test_langton_rank_zero_subprocess_has_no_traceback():
 
 
 def test_langton_step_reuses_the_special_type_after(monkeypatch):
-    # one special type before the step, one after; the handler computes
-    # no third one for special_after
-    from hodgekit import langton
+    # one column reduction of the special fiber before the step, one after;
+    # the handler reads both types off them and reduces no third time
+    from hodgekit import birkhoff
     calls = []
-    real = langton.splitting_type
+    real = birkhoff._column_reduce
 
     def counted(bundle):
         calls.append(bundle)
         return real(bundle)
-    monkeypatch.setattr(langton, "splitting_type", counted)
+    monkeypatch.setattr(birkhoff, "_column_reduce", counted)
     out = run_ok(["langton", "step", "--input", "fixtures/langton_gap2.json"])
     assert out["special_before"] == [1, -1] and out["special_after"] == [0, 0]
     assert len(calls) == 2

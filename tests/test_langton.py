@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hodgekit import langton, linalg
+from hodgekit import birkhoff, langton, linalg
 from hodgekit.birkhoff import splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.langton import (DiskFamily, generic_splitting, langton_reduce,
@@ -164,8 +164,9 @@ def test_probe_certifies_without_generic_type(svar, monkeypatch):
 
 
 def test_reduce_computes_each_special_type_once(svar, monkeypatch):
-    types, probes = [], []
+    types, probes, reductions = [], [], []
     real_type, real_balanced = langton.splitting_type, langton._generic_balanced
+    real_reduce = birkhoff._column_reduce
 
     def counted_type(bundle):
         types.append(bundle)
@@ -174,12 +175,38 @@ def test_reduce_computes_each_special_type_once(svar, monkeypatch):
     def counted_balanced(family):
         probes.append(family)
         return real_balanced(family)
+
+    def counted_reduce(bundle):
+        reductions.append(bundle)
+        return real_reduce(bundle)
     monkeypatch.setattr(langton, "splitting_type", counted_type)
     monkeypatch.setattr(langton, "_generic_balanced", counted_balanced)
+    monkeypatch.setattr(birkhoff, "_column_reduce", counted_reduce)
     out, trail, certs = langton_reduce(fixture_gap2(svar))
     assert [r.special_type for r in trail] == [(1, -1), (0, 0)]
-    # one special type per family on the trail, one generic check in all
-    assert len(types) == 2 and len(probes) == 1
+    # one column reduction per family on the trail, one generic check in all;
+    # the special types are read off those reductions
+    assert len(reductions) == 2 and len(probes) == 1 and types == []
+    # chart-changed families have non-diagonal special fibers; their types
+    # and factorizations come from the same single reduction
+    for seed in range(3):
+        fam = chart_changed_family(seed)
+        special = fam.special_bundle().entries
+        assert any(not special[i][j].is_zero
+                   for i in range(fam.n) for j in range(fam.n) if i != j)
+        del reductions[:], probes[:]
+        out, trail, certs = langton_reduce(fam)
+        assert len(certs) == 1 and certs[0].verify(fam, out)
+        assert len(reductions) == len(trail) == 2 and len(probes) == 1
+    assert types == []
+
+
+def test_reduce_ignores_seed():
+    fam = chart_changed_family(5)
+    out, trail, certs = langton_reduce(fam, seed=0)
+    out2, trail2, certs2 = langton_reduce(fam, seed=12345)
+    assert linalg.mat_eq(out.entries, out2.entries)
+    assert trail == trail2 and certs == certs2
 
 
 def test_failed_probes_fall_back_to_generic_type(svar, monkeypatch):

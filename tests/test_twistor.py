@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import random
+
+from hodgekit import linalg
 from hodgekit.birkhoff import h0_twist, splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.scalars import Scalar
@@ -11,6 +14,8 @@ from hodgekit.twistor import (QuaternionicSpace, RealLinearOp, SectionO1,
                               inverse_stereographic, quaternionic_sff_space,
                               sigma_section, sphere_combination, stereographic,
                               structure_at, structure_at_closed, twistor_bundle)
+
+from hodgekit.univariate import LaurentZ, RatFunc, SCALARS
 
 from conftest import gauss, sc
 
@@ -173,6 +178,57 @@ def test_twistor_bundle_nonstandard_j():
         qs = QuaternionicSpace(1, jm)
         assert splitting_type(twistor_bundle(qs)) == [1, 1]
         assert invariant_space_real_dimension(qs) == 4
+
+
+def elimination_transition(qs):
+    """Oracle for ``twistor_bundle``: the transition matrix by exact
+    elimination over Q(i)(lambda).  Column j of T solves M x = (0, e_j) for
+    the frame matrix M (moving frame, then constant complement), so T is
+    the lower right block of M^(-1) and G = T^(-1)."""
+    n = qs.dim
+    one, zero = RatFunc([1]), RatFunc([])
+    ilam = RatFunc([Scalar.zero(), Scalar.i()])
+    top = [[ilam * RatFunc([qs.jm[i][j]]) for j in range(n)]
+           + [one if i == j else zero for j in range(n)] for i in range(n)]
+    bot = [[one if i == j else zero for j in range(n)] + [zero] * n
+           for i in range(n)]
+    tmat = [row[n:] for row in linalg.invert(top + bot, one, zero)[n:]]
+    ginv = linalg.invert(tmat, one, zero)
+    out = []
+    for row in ginv:
+        out.append([])
+        for rf in row:
+            # every entry is c / lambda^k, i.e. the Laurent monomial c z^-k
+            k = len(rf.den) - 1
+            assert all(c.is_zero for c in rf.den[:-1])
+            lead = rf.den[-1].inv()
+            out[-1].append(LaurentZ(SCALARS, {t - k: c * lead
+                                              for t, c in enumerate(rf.num)}))
+    return out
+
+
+def random_quaternionic(rng, r):
+    """J' = P J_std conj(P)^(-1) for a random invertible gaussian P."""
+    std = QuaternionicSpace.standard(r).jm
+    n = 2 * r
+    while True:
+        p = [[Scalar.gaussian(rng.randint(-2, 2), rng.randint(-2, 2))
+              for _ in range(n)] for _ in range(n)]
+        try:
+            pbar_inv = linalg.invert([[x.conj() for x in row] for row in p],
+                                     Scalar.one(), Scalar.zero())
+        except PreconditionError:
+            continue
+        return QuaternionicSpace(r, linalg.mat_mul(linalg.mat_mul(p, std), pbar_inv))
+
+
+def test_twistor_bundle_matches_elimination_oracle():
+    rng = random.Random(404)
+    for k in range(20):
+        qs = random_quaternionic(rng, 1 + k % 3)
+        b = twistor_bundle(qs)
+        assert linalg.mat_eq(b.entries, elimination_transition(qs))
+        assert splitting_type(b) == [1] * qs.dim
 
 
 def test_bundle_frames_are_structure_eigenvectors():
