@@ -1,9 +1,10 @@
 # %% [markdown]
 # Splitting types of bundles on the projective line.  A transition matrix
 # whose determinant is a unit presents a bundle; column reduction of that
-# matrix pins down the unique decomposition into line bundles, the global
-# sections of every twist follow from it, and the same reduction, replayed,
-# gives a constructive factorization G = A * D * C as a certificate.
+# matrix pins down the unique decomposition into line bundles, its column
+# transform gives a basis of the global sections of every twist, and the
+# same reduction, replayed, gives a constructive factorization G = A * D * C
+# as a certificate.
 
 # %%
 from hodgekit import (P1Bundle, SCALARS, LaurentZ, Scalar,

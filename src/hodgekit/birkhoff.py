@@ -18,12 +18,11 @@ same reduction certifies itself: logging its column operations gives U and
 U^(-1), hence the factorization G = A D C with A = H, D = diag(z^d) and
 C = U^(-1) (Beckermann-Labahn-Villard 2006), checked by re-multiplication.
 
-Exact h0 counting stays for the Langton probes and section bases: v(z) is
-a polynomial vector of degree at most D and G v is required to have pole
-order at most m on the far chart.  The degree cap
-D = max(0, (n-1)*dmax - ddet + m) comes from Cramer's rule (v = G^{-1} (G v)
-and the adjugate raises degrees by at most (n-1)*dmax), so no genuine
-section is missed.
+h0 of every twist and the section bases come from the same reduction.
+With u_j the columns of U, G (z^k u_j) = z^(k+d_j) (column j of H), so
+z^k u_j is a section of B(m) exactly when 0 <= k <= m - d_j; as U lies in
+GL_n(K[z]) and H in GL_n(K[1/z]), these vectors form a basis of
+H0(B(m)), and h0(B(m)) = sum_j max(0, a_j + m + 1).
 """
 
 from __future__ import annotations
@@ -56,62 +55,9 @@ class P1Bundle:
         if det.is_zero or not det.is_monomial():
             raise PreconditionError("transition determinant is not a unit")
         (self.det_exp, self.det_coeff), = det.terms.items()
-        self.max_z_degree = max(map(_top_exp, self.entries))
-
-    def twist_degree_cap(self, m):
-        return max(0, (self.n - 1) * self.max_z_degree - self.det_exp + m)
 
     def __repr__(self):
         return f"P1Bundle(n={self.n}, det=z^{self.det_exp})"
-
-
-def _section_system(bundle, m):
-    """Sparse constraint rows over the coefficient field for sections of B(m).
-
-    Unknowns are the coefficients v[j, e] (j < n, e <= D); each row kills
-    one coefficient of z^k, k > m, in one component of G v.
-    """
-    n = bundle.n
-    cap = bundle.twist_degree_cap(m)
-    rows = []
-    kmax = bundle.max_z_degree + cap
-    for i in range(n):
-        for k in range(m + 1, kmax + 1):
-            row = {}
-            for j in range(n):
-                g = bundle.entries[i][j]
-                if g.is_zero:
-                    continue
-                for ge, c in g.terms.items():
-                    e = k - ge
-                    if 0 <= e <= cap:
-                        row[j * (cap + 1) + e] = c
-            if row:
-                rows.append(row)
-    return rows, cap
-
-
-def h0_twist(bundle: P1Bundle, m: int) -> int:
-    """dim H0 of bundle twisted by O(m)."""
-    rows, cap = _section_system(bundle, m)
-    total = bundle.n * (cap + 1)
-    return total - linalg.sparse_rank(rows)
-
-
-def section_basis(bundle, m):
-    """Basis of H0(B(m)) as vectors of polynomial LaurentZ entries."""
-    rows, cap = _section_system(bundle, m)
-    n, field = bundle.n, bundle.field
-    ncols = n * (cap + 1)
-    kerns = linalg.sparse_nullspace(rows, ncols, field.one, field.zero)
-    out = []
-    for vec in kerns:
-        v = []
-        for j in range(n):
-            v.append(LaurentZ(field, {e: vec[j * (cap + 1) + e]
-                                      for e in range(cap + 1)}))
-        out.append(v)
-    return out
 
 
 def _column_reduce(bundle: P1Bundle):
@@ -184,6 +130,19 @@ def _reduced_frame(bundle: P1Bundle, inverse):
                 for row in mat:
                     row[j] = row[j] + row[k].shift(shift).scale(f)
     return amat, deg, mat
+
+
+def h0_twist(bundle: P1Bundle, m: int) -> int:
+    """dim H0 of bundle twisted by O(m), from the splitting type."""
+    return sum(max(0, a + m + 1) for a in splitting_type(bundle))
+
+
+def section_basis(bundle, m):
+    """Basis of H0(B(m)) as vectors of polynomial LaurentZ entries: the
+    z^k u_j with 0 <= k <= m - d_j, u_j column j of U (module docstring)."""
+    _, deg, umat = _reduced_frame(bundle, inverse=False)
+    return [[row[j].shift(k) for row in umat]
+            for j, d in enumerate(deg) for k in range(m - d + 1)]
 
 
 def _adjugate(mat, field):

@@ -338,8 +338,9 @@ def _common_flags(p):
     p.add_argument("--out", help="also write the result JSON here")
 
 
-def _merge_value_flags(argv):
-    """Join "--a -1/2" into "--a=-1/2" so negative values survive argparse."""
+def _parse(argv):
+    """Parse ``argv``, first joining "--a -1/2" into "--a=-1/2" so negative
+    values survive argparse."""
     merged = []
     skip = False
     for i, tok in enumerate(argv):
@@ -351,12 +352,14 @@ def _merge_value_flags(argv):
             skip = True
         else:
             merged.append(tok)
-    return merged
+    return build_parser().parse_args(merged)
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(argv))
+    return _execute(_parse(argv))
+
+
+def _execute(args):
     if args.subcommand == "selftest":
         if args.seed is None:
             raise PreconditionError("selftest is randomized: --seed is mandatory")
@@ -382,23 +385,27 @@ def run(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        result, code = run(argv)
+        args = _parse(argv)
+        result, code = _execute(args)
+        _emit(result, args.out)
     except PreconditionError as ex:
-        _emit({"error": {"kind": "precondition", "reason": str(ex)}}, None)
+        _emit({"error": {"kind": "precondition", "reason": str(ex)}})
         return 1
     except InternalInvariantError as ex:
-        _emit({"error": {"kind": "internal", "reason": str(ex)}}, None)
+        _emit({"error": {"kind": "internal", "reason": str(ex)}})
         return 2
-    out_path = None
-    for i, a in enumerate(argv):
-        if a == "--out" and i + 1 < len(argv):
-            out_path = argv[i + 1]
-    _emit(result, out_path)
     return code
 
 
-def _emit(obj, out_path):
+def _emit(obj, out_path=None):
+    # write the file first: a failed write then prints only the error
     text = json.dumps(obj, indent=2, sort_keys=False)
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as ex:
+            raise PreconditionError(f"cannot write --out: {ex}")
     try:
         print(text)
         sys.stdout.flush()
@@ -407,9 +414,6 @@ def _emit(obj, out_path):
         # devnull so the flush at interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ Every step carries the pair (L, R) of fraction-field-invertible chart
 matrices with L T R = T', checkable by exact re-multiplication.
 
 The precondition that the generic fiber is balanced is certified by
-specialisation: h0 is upper semicontinuous in s, so h0(B(-k-1)) = 0 on the
-fiber at one regular point s0 (where the degree is n*k) forces the generic
-splitting O(k)^n.  One probe at s0 = 1 usually settles it; the splitting
-type over the fraction field K(s) is the fallback, and is what
+specialisation: h0 is upper semicontinuous in s, so a balanced splitting
+type of the fiber at one regular point s0 forces the generic splitting
+O(k)^n.  The fiber at s0 = 1 usually settles it; the splitting type over
+the fraction field K(s) is the fallback, and is what
 ``generic_splitting`` reports.
 """
 
@@ -32,8 +32,8 @@ from fractions import Fraction
 from .errors import PreconditionError, InternalInvariantError
 from .scalars import Scalar
 from . import linalg
-from .birkhoff import (P1Bundle, _reduced_frame, h0_twist,
-                       invert_unimodular, splitting_type)
+from .birkhoff import (P1Bundle, _reduced_frame, invert_unimodular,
+                       splitting_type)
 from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
 
 
@@ -120,25 +120,24 @@ _PROBE_POINTS = (1, 2, 3)
 
 
 def _generic_balanced(family: DiskFamily) -> bool:
-    """Whether the generic fiber splits as O(k)^n, usually from one probe.
+    """Whether the generic fiber splits as O(k)^n, usually from one fiber.
 
-    The exponents sum to n*k = -det_exp, so h0(B(-k-1)) = 0 forces every
-    exponent to equal k.  h0 is upper semicontinuous in s (Hartshorne III.12.8),
-    so a vanishing h0 on the fiber at one regular point s0 certifies the
+    The exponents sum to n*k = -det_exp, so the fiber is balanced exactly
+    when h0(B(-k-1)) = 0.  h0 is upper semicontinuous in s (Hartshorne
+    III.12.8), so a balanced fiber at one regular point s0 certifies the
     generic fiber.  Points where a coefficient has a pole or the determinant
-    vanishes are skipped; if no probe certifies, the generic splitting type
+    vanishes are skipped; if no fiber certifies, the generic splitting type
     over K(s) decides.
     """
     n = family.n
     if family.det_exp % n:
         return False
-    k = -family.det_exp // n
     for s0 in _PROBE_POINTS:
         try:
             fiber = family.fiber_at(s0)
         except PreconditionError:
             continue
-        if h0_twist(fiber, -k - 1) == 0:
+        if _is_balanced(splitting_type(fiber)):
             return True
     return _is_balanced(generic_splitting(family))
 
@@ -150,18 +149,15 @@ def _embed_scalar_matrix(mat):
     return out
 
 
-def _s_power_conjugate(entries, delta):
-    n = len(entries)
+def _s_scaled(entries, row_exps, col_exps):
+    """diag(s^row_exps) * entries * diag(s^col_exps), with one power of s
+    per distinct exponent; entries scaled by s^0 are kept as they are."""
     svar = RatFunc.var()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k = delta[j] - delta[i]
-            factor = svar ** k
-            row.append(entries[i][j].map_coeffs(lambda c: c * factor, RATFUNC_S))
-        out.append(row)
-    return out
+    power = {k: svar ** k for k in {r + c for r in row_exps for c in col_exps}}
+    return [[e.map_coeffs(lambda x, f=power[r + c]: x * f, RATFUNC_S)
+             if r + c and not e.is_zero else e
+             for e, c in zip(row, col_exps)]
+            for row, r in zip(entries, row_exps)]
 
 
 def _s_valuation(rf: RatFunc):
@@ -235,7 +231,6 @@ def _step(family, special, max_passes=_MAX_PASSES):
     ``special`` is the family's factored special fiber; returns (new
     family, certificate, factored special fiber of the new family).
     """
-    svar = RatFunc.var()
     n = family.n
     special_type = special.type
     left_total = right_total = linalg.identity(
@@ -258,14 +253,10 @@ def _step(family, special, max_passes=_MAX_PASSES):
             raise InternalInvariantError(
                 "destabilizing block must vanish to positive order at s = 0")
         vdelta = [v * d for d in delta]
-        t2 = _s_power_conjugate(t1, vdelta)
-
-        left = [[a0_inv[i][j].map_coeffs(
-                     lambda c, k=-vdelta[i]: c * svar ** k, RATFUNC_S)
-                 for j in range(n)] for i in range(n)]
-        right = [[c0_inv[i][j].map_coeffs(
-                      lambda c, k=vdelta[j]: c * svar ** k, RATFUNC_S)
-                  for j in range(n)] for i in range(n)]
+        down, flat = [-x for x in vdelta], [0] * n
+        t2 = _s_scaled(t1, down, vdelta)
+        left = _s_scaled(a0_inv, down, flat)
+        right = _s_scaled(c0_inv, flat, vdelta)
         left_total = linalg.mat_mul(left, left_total)
         right_total = linalg.mat_mul(right_total, right)
         current = DiskFamily(t2)  # regularity at s = 0 re-validated here

@@ -202,12 +202,9 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
         ]
     vcols = linalg.transpose([list(v) for v in rf.basis])
     ucols = linalg.transpose(ubasis)
-    try:
-        vinv = linalg.invert(vcols, Scalar.one(), Scalar.zero())
-    except PreconditionError:
-        raise InternalInvariantError("adapted basis is singular")
-    cmat = linalg.mat_mul(vinv, ucols)
-    cinv = linalg.invert(cmat, Scalar.one(), Scalar.zero())
+    # (V^(-1) U)^(-1) = U^(-1) V; a singular pairing makes U singular
+    cinv = linalg.mat_mul(linalg.invert(ucols, Scalar.one(), Scalar.zero()),
+                          vcols)
     p = rf.weights
     q = rb.weights
     entries = [

@@ -14,7 +14,7 @@ from .scalars import Scalar
 from .laurent import LaurentPoly
 from . import linalg
 from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
-from .birkhoff import P1Bundle, h0_twist, splitting_type
+from .birkhoff import P1Bundle, section_basis, splitting_type
 from .rees import FilteredSpace, build_rees, fiber, recover_filtration
 from .twistor import (QuaternionicSpace, RealLinearOp, sphere_combination,
                       stereographic, structure_at, structure_at_closed)
@@ -162,7 +162,12 @@ def check_birkhoff_roundtrip(rng):
         b = P1Bundle(SCALARS, g)
         assert splitting_type(b) == exps
         for m in range(-exps[0] - 1, -exps[-1] + 2):  # where h0 can jump
-            assert h0_twist(b, m) == sum(max(0, x + m + 1) for x in exps)
+            sections = section_basis(b, m)
+            assert len(sections) == sum(max(0, x + m + 1) for x in exps)
+            for v in sections:   # polynomial, and G v has z-degree <= m
+                gv = [x for (x,) in linalg.mat_mul(g, [[x] for x in v])]
+                assert all(x.is_zero or x.min_exp() >= 0 for x in v)
+                assert all(x.is_zero or x.max_exp() <= m for x in gv)
 
 
 def check_rees_roundtrip(rng):

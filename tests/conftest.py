@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,3 +39,28 @@ def rng():
 @pytest.fixture
 def svar():
     return RatFunc.var()
+
+
+@pytest.fixture
+def special_reductions(monkeypatch):
+    """Record the special fibers (s = 0) of Langton families as ``fibers``
+    and their column reductions by ``birkhoff._column_reduce`` as
+    ``reduced``; reductions of other bundles, such as the fiber at s = 1
+    that certifies the generic fiber, are not recorded."""
+    from hodgekit import birkhoff, langton
+    seen = SimpleNamespace(fibers=[], reduced=[])
+    real_special = langton.DiskFamily.special_bundle
+    real_reduce = birkhoff._column_reduce
+
+    def special_bundle(family):
+        bundle = real_special(family)
+        seen.fibers.append(bundle)
+        return bundle
+
+    def column_reduce(bundle):
+        if any(bundle is b for b in seen.fibers):
+            seen.reduced.append(bundle)
+        return real_reduce(bundle)
+    monkeypatch.setattr(langton.DiskFamily, "special_bundle", special_bundle)
+    monkeypatch.setattr(birkhoff, "_column_reduce", column_reduce)
+    return seen

@@ -241,20 +241,12 @@ def test_langton_rank_zero_subprocess_has_no_traceback():
     assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
 
 
-def test_langton_step_reuses_the_special_type_after(monkeypatch):
+def test_langton_step_reuses_the_special_type_after(special_reductions):
     # one column reduction of the special fiber before the step, one after;
     # the handler reads both types off them and reduces no third time
-    from hodgekit import birkhoff
-    calls = []
-    real = birkhoff._column_reduce
-
-    def counted(bundle):
-        calls.append(bundle)
-        return real(bundle)
-    monkeypatch.setattr(birkhoff, "_column_reduce", counted)
     out = run_ok(["langton", "step", "--input", "fixtures/langton_gap2.json"])
     assert out["special_before"] == [1, -1] and out["special_after"] == [0, 0]
-    assert len(calls) == 2
+    assert len(special_reductions.reduced) == 2
 
 
 def test_selftest_requires_seed_and_runs():
@@ -341,6 +333,30 @@ def test_out_flag(tmp_path):
                      "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text()) == {"scalar": "-1*i"}
+
+
+def test_out_flag_joined_form(tmp_path, capsys):
+    target = tmp_path / "result.json"
+    code = cli.main(["rings", "conj", "--inline", '{"scalar": "i"}',
+                     f"--out={target}"])
+    assert code == 0
+    assert target.read_text() == capsys.readouterr().out
+    assert json.loads(target.read_text()) == {"scalar": "-1*i"}
+
+
+def test_unwritable_out_is_a_precondition(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hodgekit.cli", "rings", "conj",
+         "--inline", '{"scalar": "i"}',
+         "--out", str(tmp_path / "missing" / "result.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+    err = json.loads(proc.stdout)     # one JSON document, not the result too
+    assert err["error"]["kind"] == "precondition"
+    assert "--out" in err["error"]["reason"]
 
 
 def test_output_reparses():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hodgekit import birkhoff, langton, linalg
+from hodgekit import langton, linalg
 from hodgekit.birkhoff import splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.langton import (DiskFamily, generic_splitting, langton_reduce,
@@ -163,25 +163,23 @@ def test_probe_certifies_without_generic_type(svar, monkeypatch):
     assert calls == [] and len(certs) >= 1
 
 
-def test_reduce_computes_each_special_type_once(svar, monkeypatch):
-    types, probes, reductions = [], [], []
+def test_reduce_computes_each_special_type_once(svar, monkeypatch,
+                                                special_reductions):
+    # only special fibers count: the generic check reduces the fiber at s = 1
+    types, probes = [], []
+    reductions = special_reductions.reduced
     real_type, real_balanced = langton.splitting_type, langton._generic_balanced
-    real_reduce = birkhoff._column_reduce
 
     def counted_type(bundle):
-        types.append(bundle)
+        if any(bundle is b for b in special_reductions.fibers):
+            types.append(bundle)
         return real_type(bundle)
 
     def counted_balanced(family):
         probes.append(family)
         return real_balanced(family)
-
-    def counted_reduce(bundle):
-        reductions.append(bundle)
-        return real_reduce(bundle)
     monkeypatch.setattr(langton, "splitting_type", counted_type)
     monkeypatch.setattr(langton, "_generic_balanced", counted_balanced)
-    monkeypatch.setattr(birkhoff, "_column_reduce", counted_reduce)
     out, trail, certs = langton_reduce(fixture_gap2(svar))
     assert [r.special_type for r in trail] == [(1, -1), (0, 0)]
     # one column reduction per family on the trail, one generic check in all;
