@@ -38,7 +38,7 @@ def scalar_from_json(x) -> Scalar:
         return Scalar.rational(x)
     if isinstance(x, dict) and "order" in x:
         return Scalar.cyclotomic(int(x["order"]),
-                                 [Fraction(c) for c in x["coeffs"]])
+                                 [fraction_from_json(c) for c in x["coeffs"]])
     raise PreconditionError(f"unreadable scalar {x!r}")
 
 
@@ -67,9 +67,12 @@ def fraction_to_json(f):
 
 
 def fraction_from_json(x):
+    """An exact rational from a JSON int or string; floats are not exact."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise PreconditionError(f"unreadable rational {x!r}")
     try:
         return Fraction(x)
-    except (ValueError, TypeError):
+    except (ValueError, ZeroDivisionError):
         raise PreconditionError(f"unreadable rational {x!r}")
 
 

@@ -8,7 +8,7 @@ vectors to ``Scalar``.  Units are exactly the single-term elements.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .scalars import Scalar
+from .scalars import Scalar, power
 
 
 class LaurentPoly:
@@ -140,14 +140,7 @@ class LaurentPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = LaurentPoly.one(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, LaurentPoly.one(self.rank))
 
     def scale(self, c):
         if not isinstance(c, Scalar):

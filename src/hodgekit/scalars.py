@@ -20,6 +20,13 @@ Mixing rules: rationals coerce everywhere; gaussian values embed into a
 cyclotomic field only when 4 divides its order (i maps to zeta^(n/4));
 two cyclotomic values of different orders are rejected outright so that
 conjugation never becomes ambiguous.
+
+This bottom module also holds hodgekit's one polynomial layer: dense
+polynomials as ascending coefficient lists over any exact field (``ptrim``,
+``padd``, ``pneg``, ``pmul``, ``pdivmod``, ``pgcd``), used here for the
+cyclotomic reduction over ``Fraction`` and by ``univariate.RatFunc`` over
+``Scalar``, and ``power``, the one square-and-multiply loop behind the
+``**`` of ``Scalar``, ``RatFunc`` and ``LaurentPoly``.
 """
 
 from __future__ import annotations
@@ -58,86 +65,129 @@ def totient(n):
     return result
 
 
-# -- dense rational polynomials (low degree first), used only for the
-#    cyclotomic reduction machinery -------------------------------------
+# -- dense polynomials (ascending coefficient lists) over any exact field.
+#    They use only a coefficient's truth value, + - * and 1 / x, so the
+#    same code serves the Fraction coordinates of the cyclotomic reduction
+#    and the Scalar coefficients of ``univariate.RatFunc``.
 
 
-def _ptrim(c):
-    while c and c[-1] == 0:
+def ptrim(c):
+    """Copy of ``c`` without trailing zeros."""
+    c = list(c)
+    while c and not c[-1]:
         c.pop()
     return c
 
 
-def _pmul(a, b):
+def padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        out[k] = out[k] + y
+    return ptrim(out)
+
+
+def pneg(a):
+    return [-x for x in a]
+
+
+def pmul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    zero = a[-1] - a[-1]
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
+                out[i + j] = out[i + j] + x * y
+    return ptrim(out)
 
 
-def _pdivmod(a, b):
-    b = _ptrim(list(b))
-    assert b, "division by zero polynomial"
-    a = _ptrim(list(a))
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def pdivmod(a, b):
+    """(q, r) with a = q*b + r and len(r) < len(b)."""
+    b = ptrim(b)
+    if not b:
+        raise PreconditionError("polynomial division by zero")
+    r = ptrim(a)
+    n = len(b) - 1
+    if len(r) <= n:
+        return [], r
     inv = 1 / b[-1]
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] * inv
+    q = [inv - inv] * (len(r) - n)
+    while len(r) > n:
+        k = len(r) - 1 - n
+        f = r.pop() * inv          # cancels the leading term exactly
         q[k] = f
-        for j, y in enumerate(b):
-            a[k + j] -= f * y
-        a = _ptrim(a)
-    return _ptrim(q), a
+        for j in range(n):
+            r[k + j] = r[k + j] - f * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def pgcd(a, b):
+    """Monic gcd of ``a`` and ``b``; ``[]`` when both are zero."""
+    a, b = ptrim(a), ptrim(b)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    if a:
+        inv = 1 / a[-1]
+        a = [x * inv for x in a]
+    return a
+
+
+def power(x, k, one):
+    """``x**k`` for an int ``k >= 0`` by square-and-multiply."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Coefficients of Phi_n, ascending, as a tuple of Fractions."""
-    xn = [Fraction(0)] * n + [Fraction(1)]
-    xn[0] = Fraction(-1)
+    xn = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     rest = [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            rest = _pmul(rest, list(cyclotomic_polynomial(d)))
-    q, r = _pdivmod(xn, rest)
+            rest = pmul(rest, cyclotomic_polynomial(d))
+    q, r = pdivmod(xn, rest)
     assert not r, "cyclotomic division must be exact"
     return tuple(q)
+
+
+def _reduce(n, c):
+    """Power-basis coordinates of the polynomial ``c`` modulo Phi_n."""
+    r = pdivmod(c, cyclotomic_polynomial(n))[1]
+    return r + [Fraction(0)] * (totient(n) - len(r))
 
 
 @lru_cache(maxsize=None)
 def _power_basis(n, k):
     """zeta^k reduced mod Phi_n, as a tuple of phi(n) Fractions."""
-    phi = totient(n)
-    k %= n
-    mono = [Fraction(0)] * k + [Fraction(1)]
-    _, r = _pdivmod(mono, list(cyclotomic_polynomial(n)))
-    r = list(r) + [Fraction(0)] * (phi - len(r))
-    return tuple(r[:phi])
+    return tuple(_reduce(n, [Fraction(0)] * (k % n) + [Fraction(1)]))
 
 
-def _ext_gcd_poly(a, b):
-    # returns (g, s, t) with s*a + t*b = g, over Q[x]
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _ptrim(list(r1)):
-        q, r = _pdivmod(r0, r1)
+def _cyclo_inverse(n, c):
+    """Coordinates of 1/c in Q(zeta_n), for nonzero coordinates ``c``.
+
+    Extended Euclid on (Phi_n, c), keeping only the cofactor s of c, with
+    s*c = r modulo Phi_n at every step.  Phi_n is irreducible, so the last
+    nonzero remainder is a constant.
+    """
+    r0, r1 = list(cyclotomic_polynomial(n)), ptrim(c)
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = pdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([x - y for x, y in _pad2(s0, _pmul(q, s1))])
-        t0, t1 = t1, _ptrim([x - y for x, y in _pad2(t0, _pmul(q, t1))])
-    return r0, s0, t0
-
-
-def _pad2(a, b):
-    m = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (m - len(a))
-    b = list(b) + [Fraction(0)] * (m - len(b))
-    return zip(a, b)
+        s0, s1 = s1, padd(s0, pneg(pmul(q, s1)))
+    assert len(r0) == 1, "Phi_n must be coprime to a nonzero element"
+    return _reduce(n, pmul(s0, [1 / r0[0]]))
 
 
 class Scalar:
@@ -242,7 +292,9 @@ class Scalar:
         return all(c == 0 for c in self._coeffs)
 
     def __bool__(self):
-        return not self.is_zero
+        if self._order is None:
+            return bool(self._a or self._b)
+        return any(self._coeffs)
 
     def is_rational(self):
         if self.is_gaussian:
@@ -357,11 +409,7 @@ class Scalar:
         if a.is_gaussian:
             return a * b
         n = a._order
-        prod = _pmul(list(a._coeffs), list(b._coeffs))
-        _, r = _pdivmod(prod, list(cyclotomic_polynomial(n)))
-        phi = totient(n)
-        r = list(r) + [Fraction(0)] * (phi - len(r))
-        return Scalar(order=n, coeffs=r[:phi])
+        return Scalar(order=n, coeffs=_reduce(n, pmul(a._coeffs, b._coeffs)))
 
     __rmul__ = __mul__
 
@@ -371,14 +419,8 @@ class Scalar:
         if self.is_gaussian:
             a, b, d = self._a, self._b, self._d
             return _gauss(d * a, -d * b, a * a + b * b)
-        g, s, _ = _ext_gcd_poly(list(self._coeffs),
-                                list(cyclotomic_polynomial(self._order)))
-        assert len(g) == 1, "cyclotomic polynomial must be coprime to a unit"
-        phi = totient(self._order)
-        _, r = _pdivmod(_pmul(s, [1 / g[0]]),
-                        list(cyclotomic_polynomial(self._order)))
-        r = list(r) + [Fraction(0)] * (phi - len(r))
-        return Scalar(order=self._order, coeffs=r[:phi])
+        n = self._order
+        return Scalar(order=n, coeffs=_cyclo_inverse(n, self._coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, Scalar) and self._order is None and other._order is None:
@@ -400,14 +442,8 @@ class Scalar:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.inv() ** (-k)
-        out, base = Scalar.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return power(self.inv(), -k, _ONE)
+        return power(self, k, _ONE)
 
     def conj(self):
         if self._order is None:
@@ -536,12 +572,15 @@ def _imag_value(imtxt):
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the gaussian string form "a/b+c/d*i" (either part omittable)."""
-    m = _IMAG_RX.match(text)
-    if m:
-        return Scalar.gaussian(Fraction(0), _imag_value(m.group("im")))
-    m = _FULL_RX.match(text)
-    if not m:
-        raise PreconditionError(f"cannot parse scalar {text!r}")
-    re_ = Fraction(m.group("re"))
-    im_ = _imag_value(m.group("im")) if m.group("im") else Fraction(0)
-    return Scalar.gaussian(re_, im_)
+    try:
+        m = _IMAG_RX.match(text)
+        if m:
+            return Scalar.gaussian(Fraction(0), _imag_value(m.group("im")))
+        m = _FULL_RX.match(text)
+        if not m:
+            raise PreconditionError(f"cannot parse scalar {text!r}")
+        re_ = Fraction(m.group("re"))
+        im_ = _imag_value(m.group("im")) if m.group("im") else Fraction(0)
+        return Scalar.gaussian(re_, im_)
+    except ZeroDivisionError:
+        raise PreconditionError(f"zero denominator in scalar {text!r}") from None

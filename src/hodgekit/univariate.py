@@ -1,12 +1,13 @@
 """One-variable exact machinery shared by the bundle code.
 
-Three layers, all over ``Scalar`` coefficients:
+Two types over ``Scalar`` coefficients, built on the dense-polynomial
+layer of ``scalars`` (``ptrim``, ``padd``, ``pneg``, ``pmul``, ``pdivmod``,
+``pgcd``):
 
-* dense polynomials (ascending coefficient lists) with euclidean division,
 * ``RatFunc`` -- normalized rational functions, a field; models functions
   of the disk parameter s that stay exact under every operation,
 * ``LaurentZ`` -- finitely supported Laurent polynomials in one chart
-  coordinate z whose coefficients live in any of the fields above.
+  coordinate z whose coefficients are ``Scalar`` or ``RatFunc``.
 
 A tiny ``Field`` tag object carries the zero/one elements around so that
 generic elimination code never needs to invent constants.
@@ -15,7 +16,7 @@ generic elimination code never needs to invent constants.
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .scalars import Scalar
+from .scalars import Scalar, padd, pdivmod, pgcd, pmul, pneg, power, ptrim
 
 
 class Field:
@@ -31,70 +32,6 @@ class Field:
 
 
 SCALARS = Field(Scalar.zero(), Scalar.one(), "gaussian")
-
-
-# -- dense polynomials over Scalar ---------------------------------------
-
-
-def ptrim(c):
-    c = list(c)
-    while c and c[-1].is_zero:
-        c.pop()
-    return c
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else Scalar.zero()
-        y = b[k] if k < len(b) else Scalar.zero()
-        out.append(x + y)
-    return ptrim(out)
-
-
-def pneg(a):
-    return [-x for x in a]
-
-
-def pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Scalar.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x.is_zero:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return ptrim(out)
-
-
-def pdivmod(a, b):
-    if not b:
-        raise PreconditionError("polynomial division by zero")
-    a = list(a)
-    q = [Scalar.zero()] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inv()
-    while True:
-        a = ptrim(a)
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        f = a[-1] * inv
-        q[k] = q[k] + f
-        for j, y in enumerate(b):
-            a[k + j] = a[k + j] - f * y
-    return ptrim(q), a
-
-
-def pgcd(a, b):
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = a[-1].inv()
-        a = [x * inv for x in a]  # monic
-    return a
 
 
 class RatFunc:
@@ -150,9 +87,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_constant(self):
-        return len(self.num) <= 1 and len(self.den) == 1
-
     def __add__(self, other):
         other = _rf(other)
         if len(self.den) == 1 and len(other.den) == 1:
@@ -196,15 +130,8 @@ class RatFunc:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.inv() ** (-k)
-        out = RatFunc.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return power(self.inv(), -k, RatFunc.const(1))
+        return power(self, k, RatFunc.const(1))
 
     def __eq__(self, other):
         try:
@@ -364,14 +291,6 @@ class LaurentZ:
 
     def map_coeffs(self, fn, field):
         return LaurentZ(field, {e: fn(c) for e, c in self.terms.items()})
-
-    def eval(self, x):
-        acc = self.field.zero
-        for e, c in self.terms.items():
-            if e < 0:
-                raise PreconditionError("evaluation of a genuine Laurent term")
-            acc = acc + c * (x ** e) if e else acc + c
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, LaurentZ):

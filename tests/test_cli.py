@@ -230,15 +230,35 @@ def test_langton_rank_zero_is_a_precondition(verb, capsys):
                    "reason": "family matrix must have rank >= 1"}
 
 
-def test_langton_rank_zero_subprocess_has_no_traceback():
+def run_cli_process(argv):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hodgekit.cli", "langton", "reduce",
-         "--inline", RANK0],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "hodgekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_langton_rank_zero_subprocess_has_no_traceback():
+    proc = run_cli_process(["langton", "reduce", "--inline", RANK0])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["rings", "conj", "--inline", '{"scalar": "1/0"}'],
+    ["rings", "conj", "--inline", '{"scalar": "3/0*i"}'],
+    ["rings", "conj", "--inline",
+     '{"scalar": {"order": 5, "coeffs": ["1/0", "0", "0", "0"]}}'],
+    ["rings", "conj", "--inline",
+     '{"scalar": {"order": 5, "coeffs": [0.1, 0, 0, 0]}}'],
+    ["gmquot", "fixed", "--weights", "0,1,2", "--a", "1/0"],
+])
+def test_bad_rationals_are_precondition_errors(argv):
+    # zero denominators and inexact floats are the caller's error: exit 1
+    # with one JSON error document, never a traceback
+    proc = run_cli_process(argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["error"]["kind"] == "precondition"
 
 
 def test_langton_step_reuses_the_special_type_after(special_reductions):

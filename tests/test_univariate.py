@@ -1,9 +1,13 @@
-"""RatFunc shortcuts against the general gcd normalisation."""
+"""The shared polynomial layer, and RatFunc shortcuts against the general
+gcd normalisation."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgekit.errors import PreconditionError
+from hodgekit.laurent import LaurentPoly
 from hodgekit.scalars import Scalar
 from hodgekit.univariate import RatFunc, padd, pdivmod, pgcd, pmul, pneg, ptrim
 
@@ -16,6 +20,10 @@ dens = st.one_of(
     st.lists(coeffs, min_size=1, max_size=1),        # constant, often not 1
     st.lists(coeffs, min_size=2, max_size=3)).filter(lambda d: ptrim(d))
 ratfuncs = st.builds(RatFunc, polys, dens)
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+cyclos = st.builds(lambda cs: Scalar.cyclotomic(5, cs),
+                   st.lists(st.sampled_from([Fraction(0), Fraction(-1, 2), Fraction(3)]),
+                            min_size=4, max_size=4))
 
 
 def slow(num, den):
@@ -80,3 +88,46 @@ def test_eval():
     assert RatFunc([]).eval(5).is_zero
     with pytest.raises(PreconditionError):
         f.eval(2)
+
+
+# the polynomial layer runs on Fraction coordinates (cyclotomic reduction)
+# and on Scalar coefficients (RatFunc) alike
+@given(st.sampled_from([fracs, coeffs]).flatmap(
+    lambda c: st.tuples(st.lists(c, max_size=6), st.lists(c, max_size=4))))
+@settings(max_examples=200)
+def test_polynomial_layer_on_both_coefficient_kinds(ab):
+    a, b = ab
+    with pytest.raises(PreconditionError):
+        pdivmod(a, [])
+    if not ptrim(b):
+        with pytest.raises(PreconditionError):
+            pdivmod(a, b)
+        return
+    q, r = pdivmod(a, b)
+    assert ptrim(a) == padd(pmul(q, b), r) and len(r) < len(ptrim(b))
+    assert q == ptrim(q) and r == ptrim(r)
+    g = pgcd(a, b)
+    assert g[-1] == 1
+    assert not pdivmod(a, g)[1] and not pdivmod(b, g)[1]
+
+
+@given(st.one_of(coeffs, cyclos), ratfuncs, st.integers(-3, 3))
+@settings(max_examples=100)
+def test_truth_value_and_powers(x, f, k):
+    assert bool(x) == (not x.is_zero)
+    for y, one in ((x, ONE), (f, RatFunc.const(1))):
+        if k < 0 and not y:
+            with pytest.raises(PreconditionError):
+                y ** k
+            continue
+        base, want = (y if k >= 0 else y.inv()), one
+        for _ in range(abs(k)):
+            want = want * base
+        assert y ** k == want
+
+
+def test_laurent_powers_stay_non_negative():
+    p = LaurentPoly.var(2, 0) + LaurentPoly.var(2, 1, -1) * 3
+    assert p ** 0 == LaurentPoly.one(2) and p ** 3 == p * p * p
+    with pytest.raises(TypeError):
+        p ** -1
