@@ -1,7 +1,8 @@
 """Batch CLI: every module behind a subcommand with JSON input and output.
 
 Exit codes: 0 success, 1 precondition or schema violation (the payload
-carries a machine-readable reason), 2 internal invariant breach.  Seeds
+carries a machine-readable reason), 2 internal invariant breach or any
+other exception, reported as one JSON document without a traceback.  Seeds
 are mandatory for randomized verbs.
 """
 
@@ -369,11 +370,8 @@ def _execute(args):
                "checks": results}
         return out, (1 if failed else 0)
     handler, _ = HANDLERS[args.subcommand]
-    if args.subcommand == "gmquot":
-        data = _gm_payload(args)
-    else:
-        data = _payload(args)
     try:
+        data = _gm_payload(args) if args.subcommand == "gmquot" else _payload(args)
         result = handler(args.verb, data, args.seed)
     except (KeyError, TypeError, ValueError) as ex:
         if isinstance(ex, PreconditionError):
@@ -391,8 +389,12 @@ def main(argv=None):
     except PreconditionError as ex:
         _emit({"error": {"kind": "precondition", "reason": str(ex)}})
         return 1
-    except InternalInvariantError as ex:
-        _emit({"error": {"kind": "internal", "reason": str(ex)}})
+    except Exception as ex:
+        # an invariant breach, or any other exception escaping the library,
+        # is a hodgekit bug, not bad input
+        reason = (str(ex) if isinstance(ex, InternalInvariantError)
+                  else f"{type(ex).__name__}: {ex}")
+        _emit({"error": {"kind": "internal", "reason": reason}})
         return 2
     return code
 

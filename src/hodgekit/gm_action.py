@@ -47,6 +47,13 @@ class WeightedAction:
             raise PreconditionError(
                 f"shift {self.shift} collides with a linearization weight")
 
+    def check_coords(self, *items):
+        """Points and arcs need one coordinate per weight."""
+        for x in items:
+            if len(x.coords) != len(self.weights):
+                raise PreconditionError(
+                    f"{len(x.coords)} coordinates for {len(self.weights)} weights")
+
     @property
     def n_coords(self):
         return len(self.weights)
@@ -61,13 +68,8 @@ class WeightedAction:
                                              if wi == w))
                 for w in values]
 
-    def component_of_weight(self, w):
-        for comp in self.fixed_components():
-            if comp.weight == w:
-                return comp
-        raise PreconditionError(f"no fixed component of weight {w}")
-
     def act(self, t: Scalar, point):
+        self.check_coords(point)
         return ProjPoint([x * (t ** w) for x, w in zip(point.coords, self.weights)])
 
 
@@ -103,6 +105,7 @@ class ProjPoint:
 
 
 def limit0(action: WeightedAction, point: ProjPoint) -> ProjPoint:
+    action.check_coords(point)
     wmin = min(action.weights[i] for i in point.support)
     return ProjPoint([x if action.weights[i] == wmin and not x.is_zero
                       else Scalar.zero()
@@ -110,6 +113,7 @@ def limit0(action: WeightedAction, point: ProjPoint) -> ProjPoint:
 
 
 def limitinf(action: WeightedAction, point: ProjPoint) -> ProjPoint:
+    action.check_coords(point)
     wmax = max(action.weights[i] for i in point.support)
     return ProjPoint([x if action.weights[i] == wmax and not x.is_zero
                       else Scalar.zero()
@@ -117,6 +121,7 @@ def limitinf(action: WeightedAction, point: ProjPoint) -> ProjPoint:
 
 
 def weight_of_fixed_point(action: WeightedAction, point: ProjPoint) -> int:
+    action.check_coords(point)
     ws = {action.weights[i] for i in point.support}
     if len(ws) != 1:
         raise PreconditionError("point is not fixed")
@@ -168,8 +173,7 @@ class Decomposition:
     minus_weights: frozenset  # components with alpha < a
 
 
-def decompose(action: WeightedAction, order: ComponentOrder = None,
-              plus_weights=None) -> Decomposition:
+def decompose(action: WeightedAction, plus_weights=None) -> Decomposition:
     """Split the fixed set by the shift (or an explicit marking) and check
     both closure conditions against the attraction order."""
     weights = set(action.weights)
@@ -182,9 +186,7 @@ def decompose(action: WeightedAction, order: ComponentOrder = None,
         if not plus <= weights:
             raise PreconditionError("marked weights are not component weights")
         minus = weights - plus
-    if order is None:
-        order = comp_order(action)
-    for (u, v) in order.sorted_pairs():
+    for (u, v) in comp_order(action).sorted_pairs():
         if v in plus and u not in plus:
             raise PreconditionError(
                 f"V+ is not downward closed: {u} <= {v} but {u} is outside")
@@ -219,6 +221,7 @@ def orbit_equivalent(action: WeightedAction, x: ProjPoint, y: ProjPoint) -> bool
     normal form of the exponent vector (roots always exist over the
     algebraically closed field, so consistency is the whole test).
     """
+    action.check_coords(x, y)
     if x.support != y.support:
         return False
     sup = list(x.support)
@@ -279,6 +282,7 @@ def newton_limits(action: WeightedAction, arc: Arc):
     (landing in a fixed component) with breakpoints (landing at non-fixed
     points of the connecting orbits).
     """
+    action.check_coords(arc)
     sup = list(arc.support)
     lines = {}
     for i in sup:

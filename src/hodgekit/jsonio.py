@@ -34,7 +34,7 @@ def scalar_to_json(s: Scalar):
 def scalar_from_json(x) -> Scalar:
     if isinstance(x, str):
         return parse_scalar(x)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Scalar.rational(x)
     if isinstance(x, dict) and "order" in x:
         return Scalar.cyclotomic(int(x["order"]),
@@ -62,10 +62,6 @@ def matrix_from_json(rows):
     return [vector_from_json(r) for r in rows]
 
 
-def fraction_to_json(f):
-    return str(Fraction(f))
-
-
 def fraction_from_json(x):
     """An exact rational from a JSON int or string; floats are not exact."""
     if isinstance(x, bool) or not isinstance(x, (int, str)):
@@ -74,6 +70,13 @@ def fraction_from_json(x):
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(f"unreadable rational {x!r}")
+
+
+def _exponent(x):
+    """An integer exponent; a JSON float or boolean would be truncated."""
+    if isinstance(x, (bool, float)):
+        raise PreconditionError(f"unreadable exponent {x!r}")
+    return int(x)
 
 
 # -- multivariate Laurent -------------------------------------------------
@@ -89,7 +92,7 @@ def laurent_from_json(rank, data) -> LaurentPoly:
         raise PreconditionError("laurent polynomial must be a term list")
     terms = {}
     for item in data:
-        exp = tuple(int(e) for e in item["exp"])
+        exp = tuple(_exponent(e) for e in item["exp"])
         c = scalar_from_json(item["coeff"])
         terms[exp] = terms.get(exp, Scalar.zero()) + c
     return LaurentPoly(rank, terms)
@@ -119,7 +122,7 @@ def laurentz_from_json(data, tag):
     field = SCALARS if tag == "gaussian" else RATFUNC_S
     terms = {}
     for item in data:
-        e = int(item["exp"])
+        e = _exponent(item["exp"])
         c = _coeff_from_json(item["coeff"], tag)
         terms[e] = terms.get(e, field.zero) + c
     return LaurentZ(field, terms)
@@ -184,11 +187,6 @@ def section_to_json(s: SectionO1):
     return {"a": vector_to_json(list(s.a)), "b": vector_to_json(list(s.b))}
 
 
-def section_from_json(d) -> SectionO1:
-    return SectionO1(a=tuple(vector_from_json(d["a"])),
-                     b=tuple(vector_from_json(d["b"])))
-
-
 # -- rank-one family ------------------------------------------------------
 
 
@@ -226,11 +224,6 @@ def polysection_from_json(d) -> PolySection:
 # -- jump loci ------------------------------------------------------------
 
 
-def cw_to_json(p: CWPresentation):
-    return {"a": p.a, "m": p.m, "l": p.l,
-            "A": [[laurent_to_json(e) for e in row] for row in p.rows()]}
-
-
 def cw_from_json(d) -> CWPresentation:
     a = int(d["a"])
     rows = tuple(tuple(laurent_from_json(a, e) for e in row) for row in d["A"])
@@ -251,10 +244,6 @@ def action_from_json(d) -> WeightedAction:
                           fraction_from_json(d["a"]))
 
 
-def action_to_json(w: WeightedAction):
-    return {"weights": list(w.weights), "a": fraction_to_json(w.shift)}
-
-
 def point_from_json(x) -> ProjPoint:
     if isinstance(x, str):
         return ProjPoint([parse_scalar(c) for c in x.split(":")])
@@ -267,10 +256,6 @@ def point_to_json(p: ProjPoint):
 
 def arc_from_json(data) -> Arc:
     return Arc([laurentz_from_json(c, "gaussian") for c in data])
-
-
-def arc_to_json(a: Arc):
-    return [laurentz_to_json(c, "gaussian") for c in a.coords]
 
 
 # -- disk families --------------------------------------------------------
@@ -296,7 +281,7 @@ def family_from_json(d) -> DiskFamily:
         for e in row:
             terms = {}
             for item in e:
-                k = int(item["zexp"])
+                k = _exponent(item["zexp"])
                 c = RatFunc(vector_from_json(item["coeff"]["num"]),
                             vector_from_json(item["coeff"]["den"]))
                 terms[k] = terms.get(k, RATFUNC_S.zero) + c

@@ -51,10 +51,6 @@ class HarmonicLine:
     def g(self):
         return len(self.nu)
 
-    @property
-    def theta_double_prime(self):
-        return _cvec(self.theta_prime)
-
 
 @dataclass(frozen=True)
 class HodPoint:
@@ -142,7 +138,11 @@ def from_harmonic(h: HarmonicLine) -> PolySection:
                        eta_coeffs=(h.theta_prime, tuple(-x for x in _cvec(h.nu))))
 
 
-def classify_invariant_section(candidate: PolySection, max_degree=4):
+# highest coefficient degree a candidate section may carry
+_MAX_DEGREE = 4
+
+
+def classify_invariant_section(candidate: PolySection):
     """Decide equivariance by coefficient identities.
 
     Returns ("prefered", HarmonicLine) when the candidate is one of the
@@ -151,14 +151,14 @@ def classify_invariant_section(candidate: PolySection, max_degree=4):
     implementation: the equivariance identities force degree one and the
     coefficient couplings below, which reconstruct a harmonic line.
     """
-    if candidate.degree > max_degree:
-        raise PreconditionError(f"candidate degree exceeds bound {max_degree}")
+    if candidate.degree > _MAX_DEGREE:
+        raise PreconditionError(f"candidate degree exceeds bound {_MAX_DEGREE}")
     g = candidate.g
     zero = tuple(Scalar.zero() for _ in range(g))
 
     # pulling the section back along lambda -> -1/conj(lambda) kills every
     # coefficient beyond degree one and couples the remaining four
-    for k in range(2, max_degree + 1):
+    for k in range(2, _MAX_DEGREE + 1):
         if candidate.coeff("beta", k) != zero or candidate.coeff("eta", k) != zero:
             return ("not-invariant", None)
     b0, b1 = candidate.coeff("beta", 0), candidate.coeff("beta", 1)

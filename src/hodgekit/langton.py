@@ -198,7 +198,7 @@ class _SpecialFiber:
 _MAX_PASSES = 200
 
 
-def langton_step(family: DiskFamily, seed=0, max_passes=_MAX_PASSES):
+def langton_step(family: DiskFamily, seed=0):
     """One elementary modification; returns (new family, certificate, record).
 
     Internally this repeats {factor the special fiber, absorb the constant
@@ -211,7 +211,7 @@ def langton_step(family: DiskFamily, seed=0, max_passes=_MAX_PASSES):
     ``seed`` is accepted and ignored: the step is deterministic.
     """
     special = _checked_special(family)
-    current, certificate, _ = _step(family, special, max_passes)
+    current, certificate, _ = _step(family, special)
     return current, certificate, HNRecord(step=0, special_type=special.type)
 
 
@@ -225,7 +225,7 @@ def _checked_special(family):
     return special
 
 
-def _step(family, special, max_passes=_MAX_PASSES):
+def _step(family, special):
     """``langton_step`` after its precondition checks.
 
     ``special`` is the family's factored special fiber; returns (new
@@ -233,11 +233,10 @@ def _step(family, special, max_passes=_MAX_PASSES):
     """
     n = family.n
     special_type = special.type
-    left_total = right_total = linalg.identity(
-        n, LaurentZ.one(RATFUNC_S), LaurentZ.zero(RATFUNC_S))
+    left_total = right_total = None
     current = family
 
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         # T|_(s=0) = A0 D U^(-1) with D_jj = z^(d_j) = z^(-a_j)
         exps = [-d for d in special.d]
         avg = Fraction(sum(exps), n)
@@ -257,8 +256,8 @@ def _step(family, special, max_passes=_MAX_PASSES):
         t2 = _s_scaled(t1, down, vdelta)
         left = _s_scaled(a0_inv, down, flat)
         right = _s_scaled(c0_inv, flat, vdelta)
-        left_total = linalg.mat_mul(left, left_total)
-        right_total = linalg.mat_mul(right_total, right)
+        left_total = left if left_total is None else linalg.mat_mul(left, left_total)
+        right_total = right if right_total is None else linalg.mat_mul(right_total, right)
         current = DiskFamily(t2)  # regularity at s = 0 re-validated here
 
         special = _SpecialFiber(current)
@@ -274,11 +273,14 @@ def _step(family, special, max_passes=_MAX_PASSES):
             raise InternalInvariantError("step certificate failed to re-multiply")
         return current, certificate, special
 
-    raise InternalInvariantError(
-        "modification pass bound exceeded; retry with larger bound")
+    raise InternalInvariantError("modification pass bound exceeded")
 
 
-def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
+# elementary modifications allowed per reduction
+_MAX_STEPS = 200
+
+
+def langton_reduce(family: DiskFamily, seed=0):
     """Iterate elementary modifications until the special fiber balances.
 
     Requires a semistable generic fiber (the rank must divide the total
@@ -311,7 +313,7 @@ def langton_reduce(family: DiskFamily, seed=0, max_steps=200):
         prev_type = sp
         if _is_balanced(sp):
             break
-        if step >= max_steps:
+        if step >= _MAX_STEPS:
             raise InternalInvariantError(
                 "step bound exceeded; this signals an implementation bug")
         current, cert, special = _step(current, special)

@@ -1,14 +1,16 @@
 """Exact linear algebra over field-like elements, plus integer SNF.
 
 Matrices are plain lists of lists; a sparse system is a list of dicts
-{column: element}.  Every field routine (rank, kernel, inverse) reads one
-sparse elimination kernel: a forward pass, ``echelon``, that inverts each
-pivot once and scales its row by that inverse, and a back-substitution
-pass, ``rref``, to reduced row echelon form.  Field elements must support
-+, -, *, ``inv()``, unary minus, equality and an ``is_zero`` property;
-``Scalar`` and ``RatFunc`` qualify.  ``mat_mul``, ``det_ring`` and
-``minors`` use ring operations only, so ``LaurentPoly`` entries work too;
-``smith_normal_form`` is over Z.
+{column: element}.  Every field routine reads one sparse elimination
+kernel: a forward pass, ``echelon``, that inverts each pivot once and
+scales its row by that inverse, and a back-substitution pass, ``rref``,
+to reduced row echelon form.  Three readers answer the questions asked
+of it: ``rank`` counts the pivots, ``nullspace`` reads the kernel and
+``solve`` reads X with m X = B off rref([m | B]); ``invert`` is
+``solve(m, I)``.  Field elements must support +, -, *, ``inv()``, unary
+minus, equality and an ``is_zero`` property; ``Scalar`` and ``RatFunc``
+qualify.  ``mat_mul``, ``det_ring`` and ``minors`` use ring operations
+only, so ``LaurentPoly`` entries work too; ``smith_normal_form`` is over Z.
 """
 
 from __future__ import annotations
@@ -178,30 +180,42 @@ def row_echelon(m):
 
 
 def solve(m, b, one, zero):
-    """One solution of m x = b over a field, or None if inconsistent."""
-    cols = dims(m)[1]
-    aug = _sparse([list(r) + [x] for r, x in zip(m, b)])
+    """One X with m X = b over a field, free unknowns zero, or None when
+    the system is inconsistent.
+
+    ``b`` has one column per right-hand side and one row per row of m.
+    Its rows are lists, or for a square b dicts {column: element} that
+    leave out the zeros (``invert`` passes the identity so).  X is read
+    off rref([m | b]), which has a pivot in the b block exactly when no
+    X exists.
+    """
+    rows, cols = dims(m)
+    if len(b) != rows:
+        raise PreconditionError(f"{rows} equations but {len(b)} right-hand sides")
+    width = len(b) if not b or isinstance(b[0], dict) else len(b[0])
+    aug = _sparse(m)
+    for row, rhs in zip(aug, b):
+        items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
+        row.update((cols + j, x) for j, x in items if not x.is_zero)
     basis = rref(echelon(aug))
-    if cols in basis:
+    if any(c >= cols for c in basis):
         return None
-    x = [zero] * cols
+    out = [[zero] * width for _ in range(cols)]
     for c, row in basis.items():
-        x[c] = row.get(cols, zero)
-    return x
+        out[c] = [row.get(cols + j, zero) for j in range(width)]
+    return out
 
 
 def invert(m, one, zero):
-    """Inverse of a square matrix, read off the reduced form of [m | I]."""
+    """Inverse of a square matrix: ``solve(m, I)``, which exists exactly
+    when m is invertible."""
     n, c = dims(m)
     if n != c:
         raise PreconditionError("only square matrices invert")
-    rows = _sparse(m)
-    for i, row in enumerate(rows):
-        row[n + i] = one
-    basis = rref(echelon(rows))
-    if any(j not in basis for j in range(n)):
+    inverse = solve(m, [{i: one} for i in range(n)], one, zero)
+    if inverse is None:
         raise PreconditionError("matrix is singular")
-    return [[basis[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    return inverse
 
 
 # -- determinants over a commutative ring (no division) ------------------

@@ -202,9 +202,11 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
         ]
     vcols = linalg.transpose([list(v) for v in rf.basis])
     ucols = linalg.transpose(ubasis)
-    # (V^(-1) U)^(-1) = U^(-1) V; a singular pairing makes U singular
-    cinv = linalg.mat_mul(linalg.invert(ucols, Scalar.one(), Scalar.zero()),
-                          vcols)
+    # (V^(-1) U)^(-1) = U^(-1) V solves U X = V; V is invertible, so the
+    # system is consistent exactly when U is invertible
+    cinv = linalg.solve(ucols, vcols, Scalar.one(), Scalar.zero())
+    if cinv is None:
+        raise PreconditionError("matrix is singular")
     p = rf.weights
     q = rb.weights
     entries = [

@@ -138,13 +138,15 @@ def pgcd(a, b):
 
 
 def power(x, k, one):
-    """``x**k`` for an int ``k >= 0`` by square-and-multiply."""
+    """``x**k`` for an int ``k >= 0`` by square-and-multiply; the base is
+    not squared past the last bit of k."""
     out = one
     while k:
         if k & 1:
             out = out * x
-        x = x * x
         k >>= 1
+        if k:
+            x = x * x
     return out
 
 
@@ -436,7 +438,9 @@ class Scalar:
         return a * b.inv()
 
     def __rtruediv__(self, other):
-        return Scalar.rational(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.inv() if other == 1 else Scalar.rational(other) / self
 
     def __pow__(self, k):
         if not isinstance(k, int):

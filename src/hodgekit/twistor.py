@@ -67,12 +67,6 @@ class RealLinearOp:
         n = len(mat)
         return RealLinearOp([[Scalar.zero()] * n for _ in range(n)], mat)
 
-    def apply(self, v):
-        cv = _conj_vec(v)
-        return [sum((self.p[i][k] * v[k] + self.q[i][k] * cv[k]
-                     for k in range(self.n)), Scalar.zero())
-                for i in range(self.n)]
-
     def compose(self, other):
         # (P1, Q1) o (P2, Q2) = (P1 P2 + Q1 conj(Q2), P1 Q2 + Q1 conj(P2))
         p = _madd(linalg.mat_mul(self.p, other.p),
@@ -233,9 +227,6 @@ class SectionO1:
     def value_at(self, lam: Scalar):
         return [x + y * lam for x, y in zip(self.a, self.b)]
 
-    def chart_infinity(self):
-        return self.b, self.a
-
 
 def sigma_section(qs: QuaternionicSpace, s: SectionO1) -> SectionO1:
     """The antilinear involution sigma(a + b lambda) = -J(b) + J(a) lambda."""
@@ -255,15 +246,14 @@ def invariant_section_through(qs: QuaternionicSpace, v, lam0: Scalar) -> Section
     bot = [[(lam0 * qs.jm[i][j]).conj() for j in range(n)]
            + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
            for i in range(n)]
-    rhs = v + _conj_vec(v)
-    try:
-        full = linalg.invert(top + bot, Scalar.one(), Scalar.zero())
-    except PreconditionError:
+    # the Schur complement of the system is (1 + |lam0|^2) I when J is
+    # quaternionic, so the solution is unique
+    rhs = [[x] for x in v + _conj_vec(v)]
+    x = linalg.solve(top + bot, rhs, Scalar.one(), Scalar.zero())
+    if x is None:
         raise InternalInvariantError(
             "invariant-section system is singular: J invariant is broken")
-    x = [sum((full[i][k] * rhs[k] for k in range(2 * n)), Scalar.zero())
-         for i in range(2 * n)]
-    a, abar = x[:n], x[n:]
+    a, abar = [row[0] for row in x[:n]], [row[0] for row in x[n:]]
     if abar != _conj_vec(a):
         raise InternalInvariantError("doubled solve lost the reality constraint")
     sec = SectionO1(a=tuple(a), b=tuple(qs.apply_j(a)))
@@ -275,26 +265,16 @@ def invariant_section_through(qs: QuaternionicSpace, v, lam0: Scalar) -> Section
 def invariant_space_real_dimension(qs: QuaternionicSpace) -> int:
     """Real dimension of the space of sigma-invariant sections (expect 4r)."""
     n = qs.dim
-    one, zero = Scalar.one(), Scalar.zero()
-
-    def block(label):
-        return {"I": [[one if i == j else zero for j in range(n)] for i in range(n)],
-                "0": [[zero] * n for _ in range(n)],
-                "J": [row[:] for row in qs.jm],
-                "Jc": _conj_mat(qs.jm)}[label]
-
-    # unknown order (a, abar, b, bbar); rows encode b = J abar, bbar = Jc a,
-    # a = -J bbar, abar = -Jc b, i.e. invariance plus its conjugate
-    def neg(m):
-        return [[-x for x in row] for row in m]
-
-    z = block("0")
-    sys_rows = []
-    sys_rows += [z[i] + neg(block("J"))[i] + block("I")[i] + z[i] for i in range(n)]
-    sys_rows += [neg(block("Jc"))[i] + z[i] + z[i] + block("I")[i] for i in range(n)]
-    sys_rows += [block("I")[i] + z[i] + z[i] + block("J")[i] for i in range(n)]
-    sys_rows += [z[i] + block("I")[i] + block("Jc")[i] + z[i] for i in range(n)]
-    return len(linalg.nullspace(sys_rows, one, zero))
+    zero = Scalar.zero()
+    ident = linalg.identity(n, Scalar.one(), zero)
+    z = [[zero] * n for _ in range(n)]
+    j, jc = qs.jm, _conj_mat(qs.jm)
+    mj, mjc = [[-x for x in row] for row in j], [[-x for x in row] for row in jc]
+    # unknown order (a, abar, b, bbar); the bands encode b = J abar,
+    # bbar = Jc a, a = -J bbar and abar = -Jc b: invariance plus its conjugate
+    bands = [(z, mj, ident, z), (mjc, z, z, ident), (ident, z, z, j), (z, ident, jc, z)]
+    rows = [sum((block[i] for block in band), []) for band in bands for i in range(n)]
+    return 4 * n - linalg.rank(rows)
 
 
 def twistor_bundle(qs: QuaternionicSpace) -> P1Bundle:

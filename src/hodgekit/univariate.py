@@ -189,11 +189,7 @@ def _fmt_poly(c):
                       for k, x in enumerate(c) if not x.is_zero)
 
 
-def ratfunc_field(varname="s"):
-    return Field(RatFunc([]), RatFunc([1]), "ratfun_" + varname)
-
-
-RATFUNC_S = ratfunc_field("s")
+RATFUNC_S = Field(RatFunc([]), RatFunc([1]), "ratfun_s")
 
 
 # -- Laurent polynomials in the chart coordinate -------------------------

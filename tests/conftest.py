@@ -64,3 +64,21 @@ def special_reductions(monkeypatch):
     monkeypatch.setattr(langton.DiskFamily, "special_bundle", special_bundle)
     monkeypatch.setattr(birkhoff, "_column_reduce", column_reduce)
     return seen
+
+
+@pytest.fixture
+def forbid_inverse(monkeypatch):
+    """Make ``linalg.invert`` and ``linalg.mat_mul`` raise once the test
+    calls ``forbid()``; the originals stay on the returned namespace, for
+    the invert-and-multiply oracles."""
+    from hodgekit import linalg
+    real = SimpleNamespace(invert=linalg.invert, mat_mul=linalg.mat_mul)
+
+    def refuse(*args):
+        raise AssertionError("inverted or multiplied instead of solving")
+
+    def forbid():
+        monkeypatch.setattr(linalg, "invert", refuse)
+        monkeypatch.setattr(linalg, "mat_mul", refuse)
+    real.forbid = forbid
+    return real

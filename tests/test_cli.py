@@ -261,6 +261,75 @@ def test_bad_rationals_are_precondition_errors(argv):
     assert json.loads(proc.stdout)["error"]["kind"] == "precondition"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rings", "conj", "--inline", '{"scalar": true}'],
+    ["rings", "conj", "--inline", '{"scalar": false}'],
+    ["rings", "rank", "--inline", '{"matrix": [[true, "0"], ["0", "1"]]}'],
+    ["rings", "eval", "--inline",
+     '{"poly": [{"exp": [1.5], "coeff": "1"}], "rho": ["2"]}'],
+    ["rings", "eval", "--inline",
+     '{"poly": [{"exp": [true], "coeff": "1"}], "rho": ["2"]}'],
+    ["gmquot", "arc", "--inline",
+     '{"action": {"weights": [0, 1], "a": "-1/2"},'
+     ' "arc": [[{"exp": 0.5, "coeff": "1"}], [{"exp": 1, "coeff": "1"}]]}'],
+    ["langton", "generic", "--inline",
+     '{"family": {"rank": 1, "entries":'
+     ' [[[{"zexp": 1.0, "coeff": {"num": ["1"], "den": ["1"]}}]]]}}'],
+    ["langton", "generic", "--inline",
+     '{"family": {"rank": 1, "entries":'
+     ' [[[{"zexp": false, "coeff": {"num": ["1"], "den": ["1"]}}]]]}}'],
+])
+def test_json_booleans_and_floats_are_precondition_errors(argv, capsys):
+    # true would read as 1 and 1.5 as the exponent 1: neither is a number here
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
+
+
+GM = '{"action": {"weights": %s, "a": "-1/2"}, %s}'
+ARC = '[{"exp": 0, "coeff": "1"}]'
+
+
+@pytest.mark.parametrize("verb, weights, field", [
+    ("limits", "[0, 1]", '"point": "1:1:1"'),
+    ("limits", "[0, 1, 2]", '"point": "1:1"'),
+    ("membership", "[0, 1]", '"point": "1:1:1"'),
+    ("membership", "[0, 1, 2]", '"point": "1:1"'),
+    ("order", "[0, 1]", '"witnesses": ["1:1:1"]'),
+    ("order", "[0, 1, 2]", '"witnesses": ["1:1"]'),
+    ("orbit-eq", "[0, 1]", '"x": "1:1:1", "y": "1:2:4"'),
+    ("orbit-eq", "[0, 1, 2]", '"x": "1:1", "y": "1:2"'),
+    ("arc", "[0, 1]", '"arc": [%s, %s, %s]' % (ARC, ARC, ARC)),
+    ("arc", "[0, 1, 2]", '"arc": [%s, %s]' % (ARC, ARC)),
+])
+def test_gmquot_coordinate_count_must_match_weights(verb, weights, field, capsys):
+    # too many coordinates used to be an IndexError, too few an answer
+    # for another space
+    assert cli.main(["gmquot", verb, "--inline", GM % (weights, field)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "precondition" and "coordinates for" in err["reason"]
+
+
+def test_gmquot_coordinate_count_subprocess_has_no_traceback():
+    proc = run_cli_process(["gmquot", "limits", "--weights", "0,1", "--point", "1:1:1"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr, proc.stderr
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "precondition", "reason": "3 coordinates for 2 weights"}
+
+
+def test_unexpected_exception_is_internal_exit_2(monkeypatch, capsys):
+    def boom(m):
+        raise ZeroDivisionError("synthetic")
+    monkeypatch.setattr(cli.linalg, "rank", boom)
+    assert cli.main(["rings", "rank", "--inline", '{"matrix": [["1"]]}']) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    jsonschema.validate(out, dict(SCHEMA["$defs"]["errorEnvelope"],
+                                  **{"$defs": SCHEMA["$defs"]}))
+    assert out["error"] == {"kind": "internal", "reason": "ZeroDivisionError: synthetic"}
+
+
 def test_langton_step_reuses_the_special_type_after(special_reductions):
     # one column reduction of the special fiber before the step, one after;
     # the handler reads both types off them and reduces no third time

@@ -80,20 +80,34 @@ def test_invert_solve_and_row_echelon(rng):
         ech, piv = linalg.row_echelon(dense)
         assert linalg.row_echelon(dense[::-1]) == (ech, piv)
         assert len(piv) == linalg.rank(dense)
-        x = [Scalar.gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
-             for _ in range(ncols)]
-        b = [row[0] for row in linalg.mat_mul(dense, [[v] for v in x])]
-        y = linalg.solve(dense, b, ONE, ZERO)
-        assert [row[0] for row in linalg.mat_mul(dense, [[v] for v in y])] == b
+        # one right-hand side, then several, each in the column space
+        for width in (1, rng.randint(2, 4)):
+            x = [[Scalar.gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(width)] for _ in range(ncols)]
+            b = linalg.mat_mul(dense, x)
+            y = linalg.solve(dense, b, ONE, ZERO)
+            assert len(y) == ncols and all(len(row) == width for row in y)
+            assert linalg.mat_mul(dense, y) == b
+        # m x = e_i is consistent exactly when appending e_i keeps the rank
         n = len(dense)
+        for i in range(n):
+            e = [[ONE if k == i else ZERO] for k in range(n)]
+            grows = linalg.rank([r + c for r, c in zip(dense, e)]) > linalg.rank(dense)
+            y = linalg.solve(dense, e, ONE, ZERO)
+            assert (y is None) == grows
+            assert grows or linalg.mat_mul(dense, y) == e
         if n == ncols:
+            ident = linalg.identity(n, ONE, ZERO)
             if linalg.rank(dense) == n:
                 inv = linalg.invert(dense, ONE, ZERO)
-                assert linalg.mat_mul(dense, inv) == linalg.identity(n, ONE, ZERO)
+                assert linalg.mat_mul(dense, inv) == ident
+                assert linalg.solve(dense, ident, ONE, ZERO) == inv
             else:
-                with pytest.raises(PreconditionError):
+                with pytest.raises(PreconditionError, match="matrix is singular"):
                     linalg.invert(dense, ONE, ZERO)
-    assert linalg.solve(m_of([[1, 1], [2, 2]]), m_of([[1, 3]])[0], ONE, ZERO) is None
+                assert linalg.solve(dense, ident, ONE, ZERO) is None
+    assert linalg.solve(m_of([[1, 1], [2, 2]]), m_of([[1], [3]]), ONE, ZERO) is None
+    assert linalg.solve(m_of([[1, 1], [2, 2]]), m_of([[1, 0], [2, 1]]), ONE, ZERO) is None
 
 
 def test_det_ring_matches_leibniz(rng):

@@ -1,10 +1,14 @@
+import json
+
 import pytest
 
+from hodgekit import cli, linalg
 from hodgekit.errors import PreconditionError
 from hodgekit.rees import (FilteredSpace, build_rees, fiber, griffiths_check,
                            recover_filtration, rees_p1)
 from hodgekit.scalars import Scalar
-from hodgekit.selftest import random_filtration
+from hodgekit.selftest import random_filtration, random_scalar
+from hodgekit.univariate import LaurentZ, SCALARS
 
 from conftest import basis_vec, sc
 
@@ -147,3 +151,47 @@ def test_rees_p1_with_conjugation_pairing():
     assert rep.splitting == (2, 0)
     _, rep2 = rees_p1(fs, gsbar)
     assert rep2.splitting == (1, 1)
+
+
+def glue_by_inverse(fs, gs, pairing, real):
+    """The rees_p1 transition matrix as U^(-1) V, by inverting U."""
+    rf, rb = build_rees(fs), build_rees(gs)
+    n = fs.n
+    u = [list(v) for v in rb.basis]
+    if pairing is not None:
+        u = [[sum((pairing[i][k] * v[k].conj() for k in range(n)), ZERO)
+              for i in range(n)] for v in u]
+    c = real.mat_mul(real.invert(linalg.transpose(u), ONE, ZERO),
+                     linalg.transpose([list(v) for v in rf.basis]))
+    return [[LaurentZ(SCALARS, {-(rb.weights[i] + rf.weights[j]): c[i][j]})
+             for j in range(n)] for i in range(n)]
+
+
+def test_rees_p1_solves_instead_of_inverting(rng, forbid_inverse):
+    cases = []
+    while len(cases) < 12:
+        fs = random_filtration(rng, max_dim=4, max_len=3)
+        gs = random_filtration(rng, max_dim=4, max_len=3)
+        if fs.n != gs.n:
+            continue
+        pairing = None
+        if len(cases) % 2:
+            pairing = [[random_scalar(rng, 2) for _ in range(fs.n)]
+                       for _ in range(fs.n)]
+            if linalg.rank(pairing) < fs.n:
+                continue
+        cases.append((fs, gs, pairing, glue_by_inverse(fs, gs, pairing,
+                                                       forbid_inverse)))
+    forbid_inverse.forbid()
+    for fs, gs, pairing, want in cases:
+        bundle, _ = rees_p1(fs, gs, pairing)
+        assert bundle.entries == want
+
+
+def test_rees_glue_singular_pairing_exits_1(capsys):
+    filt = {"dim": 2, "steps": [{"p": 0, "basis": [["1", "0"], ["0", "1"]]},
+                                {"p": 1, "basis": [["1", "0"]]}]}
+    data = {"F": filt, "Fbar": filt, "pairing": [["1", "1"], ["2", "2"]]}
+    assert cli.main(["rees", "glue", "--inline", json.dumps(data)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"kind": "precondition", "reason": "matrix is singular"}}

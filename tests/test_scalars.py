@@ -203,3 +203,39 @@ def test_equal_values_from_different_constructors():
         assert got == Scalar.rational(Fraction(int(k)))
         assert got.key() == Scalar(re=k).key()
     assert_canonical(Scalar.gaussian(Fraction(2, 4), Fraction(-5, 10)))
+
+
+def counting(monkeypatch, name):
+    """Count the calls of the Scalar method ``name``; returns the counter."""
+    calls = [0]
+    real = getattr(Scalar, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(Scalar, name, counted)
+    return calls
+
+
+def test_power_stops_squaring_after_the_last_bit(monkeypatch):
+    x = Scalar.gaussian(Fraction(2, 3), 1)
+    want = Scalar.one()
+    for k in range(1, 40):
+        want = want * x
+        products = counting(monkeypatch, "__mul__")
+        assert x ** k == want
+        assert products[0] == bin(k).count("1") + k.bit_length() - 1
+        monkeypatch.undo()
+
+
+def test_one_over_x_inverts_once(monkeypatch):
+    x = Scalar.cyclotomic(5, [1, 2, 0, 0])
+    want = x.inv()
+    for y in (x, Scalar.gaussian(3, -4)):
+        inverses = counting(monkeypatch, "inv")
+        divisions = counting(monkeypatch, "__truediv__")
+        assert (1 / y) * y == Scalar.one()
+        assert (inverses[0], divisions[0]) == (1, 0)
+        monkeypatch.undo()
+    assert 1 / x == want
+    assert 3 / x == Scalar.rational(3) * want

@@ -254,3 +254,28 @@ def test_sff_dimensions():
     assert quaternionic_sff_space(1, 2) == 0
     assert quaternionic_sff_space(1, 1, constraints="complex") > 0
     assert quaternionic_sff_space(2, 1, constraints="complex") > 0
+
+
+def section_by_inverse(qs, v, lam0, real):
+    """a with a + lam0 J_m conj(a) = v, by inverting the doubled system."""
+    n = qs.dim
+    one, zero = Scalar.one(), Scalar.zero()
+    ident = linalg.identity(n, one, zero)
+    top = [ident[i] + [lam0 * x for x in qs.jm[i]] for i in range(n)]
+    bot = [[(lam0 * x).conj() for x in qs.jm[i]] + ident[i] for i in range(n)]
+    rhs = [[x] for x in v + [x.conj() for x in v]]
+    x = real.mat_mul(real.invert(top + bot, one, zero), rhs)
+    return [row[0] for row in x[:n]]
+
+
+def test_invariant_section_solves_instead_of_inverting(forbid_inverse):
+    rng = random.Random(505)
+    cases = []
+    for k in range(12):
+        qs = random_quaternionic(rng, 1 + k % 2)
+        v = [gauss(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(qs.dim)]
+        lam0 = gauss(rng.randint(-2, 2), rng.randint(-2, 2))
+        cases.append((qs, v, lam0, section_by_inverse(qs, v, lam0, forbid_inverse)))
+    forbid_inverse.forbid()
+    for qs, v, lam0, want in cases:
+        assert list(invariant_section_through(qs, v, lam0).a) == want
