@@ -88,16 +88,17 @@ def _rings(verb, data, seed):
         return {"rank": linalg.rank(jsonio.matrix_from_json(data["matrix"]))}
     if verb == "minors":
         _need(data, "matrix", "k", "vars")
-        rank_a = int(data["vars"])
+        rank_a = jsonio.integer_from_json(data["vars"])
         rows = [[jsonio.laurent_from_json(rank_a, e) for e in r]
                 for r in data["matrix"]]
         from .laurent import LaurentPoly
-        mins = linalg.minors(rows, int(data["k"]),
+        mins = linalg.minors(rows, jsonio.integer_from_json(data["k"]),
                              LaurentPoly.one(rank_a), LaurentPoly.zero(rank_a))
         return {"minors": [jsonio.laurent_to_json(q) for q in mins]}
     if verb == "snf":
         _need(data, "matrix")
-        u, d, v = linalg.smith_normal_form(data["matrix"])
+        u, d, v = linalg.smith_normal_form(
+            [[jsonio.integer_from_json(x) for x in row] for row in data["matrix"]])
         return {"U": u, "D": d, "V": v}
     raise PreconditionError(f"unknown rings verb {verb!r}")
 
@@ -114,7 +115,7 @@ def _rees(verb, data, seed):
     if verb == "fiber":
         _need(data, "rees", "point")
         rm = jsonio.rees_from_json(data["rees"])
-        out = rees_mod.fiber(rm, int(data["point"]))
+        out = rees_mod.fiber(rm, jsonio.integer_from_json(data["point"]))
         if isinstance(out, dict):
             return {"grades": {str(p): d for p, d in sorted(out.items())}}
         return {"dim": out}
@@ -159,7 +160,8 @@ def _twistor(verb, data, seed):
                 "transition": jsonio.bundle_to_json(bundle)}
     if verb == "sff":
         _need(data, "r", "rprime")
-        dim = tw.quaternionic_sff_space(int(data["r"]), int(data["rprime"]),
+        dim = tw.quaternionic_sff_space(jsonio.integer_from_json(data["r"]),
+                                        jsonio.integer_from_json(data["rprime"]),
                                         data.get("constraints", "quaternionic"))
         return {"dimension": dim}
     raise PreconditionError(f"unknown twistor verb {verb!r}")
@@ -200,19 +202,21 @@ def _jumploci(verb, data, seed):
     if verb == "ideal":
         _need(data, "cw", "k")
         p = jsonio.cw_from_json(data["cw"])
-        gens = jl.jump_ideal(p, int(data["k"]))
+        gens = jl.jump_ideal(p, jsonio.integer_from_json(data["k"]))
         return {"generators": [jsonio.laurent_to_json(g) for g in gens]}
     if verb == "contains":
         _need(data, "cw", "k", "subtorus")
         p = jsonio.cw_from_json(data["cw"])
         sub = jsonio.subtorus_from_json(data["subtorus"])
-        return {"contained": jl.contains_subtorus(p, int(data["k"]), sub)}
+        return {"contained": jl.contains_subtorus(
+            p, jsonio.integer_from_json(data["k"]), sub)}
     if verb == "scan":
         _need(data, "cw", "k", "count")
         if seed is None:
             raise PreconditionError("scan is randomized: --seed is mandatory")
         p = jsonio.cw_from_json(data["cw"])
-        found = jl.character_scan(p, int(data["k"]), int(data["count"]), seed)
+        found = jl.character_scan(p, jsonio.integer_from_json(data["k"]),
+                                  jsonio.integer_from_json(data["count"]), seed)
         return {"characters": [jsonio.vector_to_json(list(r)) for r in found]}
     raise PreconditionError(f"unknown jumploci verb {verb!r}")
 
@@ -265,7 +269,7 @@ def _gmquot(verb, data, seed):
             out["gauge"] = None
         return out
     if verb == "invariants":
-        degree = int(_need(data, "degree")["degree"])
+        degree = jsonio.integer_from_json(_need(data, "degree")["degree"])
         return {"monomials": [list(m) for m in gm.invariant_monomials(action, degree)]}
     raise PreconditionError(f"unknown gmquot verb {verb!r}")
 
@@ -277,11 +281,10 @@ def _langton(verb, data, seed):
     if verb == "special":
         return {"splitting": list(lg.special_splitting(fam))}
     if verb == "step":
-        before = lg._checked_special(fam)
-        new_fam, cert, after = lg._step(fam, before)
+        new_fam, cert, record = lg.langton_step(fam)
         return {"family": jsonio.family_to_json(new_fam),
-                "special_before": list(before.type),
-                "special_after": list(after.type),
+                "special_before": list(record.special_type),
+                "special_after": list(new_fam.special.type),
                 "certificate": _cert_json(cert)}
     if verb == "reduce":
         out, trail, certs = lg.langton_reduce(fam)

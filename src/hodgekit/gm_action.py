@@ -173,26 +173,13 @@ class Decomposition:
     minus_weights: frozenset  # components with alpha < a
 
 
-def decompose(action: WeightedAction, plus_weights=None) -> Decomposition:
-    """Split the fixed set by the shift (or an explicit marking) and check
-    both closure conditions against the attraction order."""
+def decompose(action: WeightedAction) -> Decomposition:
+    """Split the fixed set by the shift.  alpha(w) = -w falls as w rises,
+    so V+ is downward and V- upward closed in the attraction order."""
+    action.check_shift()
     weights = set(action.weights)
-    if plus_weights is None:
-        action.check_shift()
-        plus = {w for w in weights if action.alpha(w) > action.shift}
-        minus = weights - plus
-    else:
-        plus = set(plus_weights)
-        if not plus <= weights:
-            raise PreconditionError("marked weights are not component weights")
-        minus = weights - plus
-    for (u, v) in comp_order(action).sorted_pairs():
-        if v in plus and u not in plus:
-            raise PreconditionError(
-                f"V+ is not downward closed: {u} <= {v} but {u} is outside")
-        if u in minus and v not in minus:
-            raise PreconditionError(
-                f"V- is not upward closed: {u} <= {v} but {v} is outside")
+    plus = {w for w in weights if action.alpha(w) > action.shift}
+    minus = weights - plus
     return Decomposition(plus_weights=frozenset(plus),
                          minus_weights=frozenset(minus))
 

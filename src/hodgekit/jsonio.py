@@ -37,7 +37,7 @@ def scalar_from_json(x) -> Scalar:
     if isinstance(x, int) and not isinstance(x, bool):
         return Scalar.rational(x)
     if isinstance(x, dict) and "order" in x:
-        return Scalar.cyclotomic(int(x["order"]),
+        return Scalar.cyclotomic(integer_from_json(x["order"]),
                                  [fraction_from_json(c) for c in x["coeffs"]])
     raise PreconditionError(f"unreadable scalar {x!r}")
 
@@ -72,10 +72,11 @@ def fraction_from_json(x):
         raise PreconditionError(f"unreadable rational {x!r}")
 
 
-def _exponent(x):
-    """An integer exponent; a JSON float or boolean would be truncated."""
+def integer_from_json(x):
+    """The one reader of integer fields; a JSON float would be truncated
+    and a JSON boolean read as 0 or 1."""
     if isinstance(x, (bool, float)):
-        raise PreconditionError(f"unreadable exponent {x!r}")
+        raise PreconditionError(f"unreadable integer {x!r}")
     return int(x)
 
 
@@ -92,7 +93,7 @@ def laurent_from_json(rank, data) -> LaurentPoly:
         raise PreconditionError("laurent polynomial must be a term list")
     terms = {}
     for item in data:
-        exp = tuple(_exponent(e) for e in item["exp"])
+        exp = tuple(integer_from_json(e) for e in item["exp"])
         c = scalar_from_json(item["coeff"])
         terms[exp] = terms.get(exp, Scalar.zero()) + c
     return LaurentPoly(rank, terms)
@@ -122,7 +123,7 @@ def laurentz_from_json(data, tag):
     field = SCALARS if tag == "gaussian" else RATFUNC_S
     terms = {}
     for item in data:
-        e = _exponent(item["exp"])
+        e = integer_from_json(item["exp"])
         c = _coeff_from_json(item["coeff"], tag)
         terms[e] = terms.get(e, field.zero) + c
     return LaurentZ(field, terms)
@@ -141,7 +142,7 @@ def bundle_from_json(d) -> P1Bundle:
         raise PreconditionError(f"unknown coefficient field {tag!r}")
     field = SCALARS if tag == "gaussian" else RATFUNC_S
     entries = [[laurentz_from_json(e, tag) for e in row] for row in d["entries"]]
-    if len(entries) != int(d["rank"]):
+    if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("bundle rank disagrees with entry count")
     return P1Bundle(field, entries)
 
@@ -159,8 +160,8 @@ def filtration_from_json(d) -> FilteredSpace:
     steps = {}
     for st in d["steps"]:
         basis = st["basis"]
-        steps[int(st["p"])] = matrix_from_json(basis) if basis else []
-    return FilteredSpace(int(d["dim"]), steps)
+        steps[integer_from_json(st["p"])] = matrix_from_json(basis) if basis else []
+    return FilteredSpace(integer_from_json(d["dim"]), steps)
 
 
 def rees_to_json(rm: ReesModule):
@@ -170,7 +171,7 @@ def rees_to_json(rm: ReesModule):
 
 def rees_from_json(d) -> ReesModule:
     basis = matrix_from_json(d["basis"])
-    weights = [int(w) for w in d["weights"]]
+    weights = [integer_from_json(w) for w in d["weights"]]
     if len(basis) != len(weights):
         raise PreconditionError("weights and basis sizes disagree")
     return ReesModule(basis=tuple(tuple(v) for v in basis), weights=tuple(weights))
@@ -180,7 +181,7 @@ def rees_from_json(d) -> ReesModule:
 
 
 def quaternionic_from_json(d) -> QuaternionicSpace:
-    return QuaternionicSpace(int(d["r"]), matrix_from_json(d["J"]))
+    return QuaternionicSpace(integer_from_json(d["r"]), matrix_from_json(d["J"]))
 
 
 def section_to_json(s: SectionO1):
@@ -198,7 +199,7 @@ def harmonic_to_json(h: HarmonicLine):
 def harmonic_from_json(d) -> HarmonicLine:
     h = HarmonicLine(nu=tuple(vector_from_json(d["nu"])),
                      theta_prime=tuple(vector_from_json(d["thetaPrime"])))
-    if h.g != int(d["g"]):
+    if h.g != integer_from_json(d["g"]):
         raise PreconditionError("declared g disagrees with coordinates")
     return h
 
@@ -225,14 +226,15 @@ def polysection_from_json(d) -> PolySection:
 
 
 def cw_from_json(d) -> CWPresentation:
-    a = int(d["a"])
+    a = integer_from_json(d["a"])
     rows = tuple(tuple(laurent_from_json(a, e) for e in row) for row in d["A"])
-    return CWPresentation(a=a, m=int(d["m"]), l=int(d["l"]), matrix=rows)
+    return CWPresentation(a=a, m=integer_from_json(d["m"]),
+                         l=integer_from_json(d["l"]), matrix=rows)
 
 
 def subtorus_from_json(d) -> SubtorusParam:
     return SubtorusParam(zeta=tuple(vector_from_json(d["zeta"])),
-                         exponents=tuple(tuple(int(x) for x in row)
+                         exponents=tuple(tuple(integer_from_json(x) for x in row)
                                          for row in d["E"]))
 
 
@@ -240,7 +242,7 @@ def subtorus_from_json(d) -> SubtorusParam:
 
 
 def action_from_json(d) -> WeightedAction:
-    return WeightedAction([int(w) for w in d["weights"]],
+    return WeightedAction([integer_from_json(w) for w in d["weights"]],
                           fraction_from_json(d["a"]))
 
 
@@ -281,12 +283,12 @@ def family_from_json(d) -> DiskFamily:
         for e in row:
             terms = {}
             for item in e:
-                k = _exponent(item["zexp"])
+                k = integer_from_json(item["zexp"])
                 c = RatFunc(vector_from_json(item["coeff"]["num"]),
                             vector_from_json(item["coeff"]["den"]))
                 terms[k] = terms.get(k, RATFUNC_S.zero) + c
             er.append(LaurentZ(RATFUNC_S, terms))
         entries.append(er)
-    if len(entries) != int(d["rank"]):
+    if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("family rank disagrees with entry count")
     return DiskFamily(entries)

@@ -26,6 +26,7 @@ the fraction field K(s) is the fallback, and is what
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,11 @@ class DiskFamily:
     def special_bundle(self) -> P1Bundle:
         return self.fiber_at(0)
 
+    @functools.cached_property
+    def special(self):
+        """The special fiber, factored once by one column reduction."""
+        return _SpecialFiber(self)
+
 
 @dataclass(frozen=True)
 class HNRecord:
@@ -108,7 +114,7 @@ def generic_splitting(family: DiskFamily):
 
 
 def special_splitting(family: DiskFamily):
-    return splitting_type(family.special_bundle())
+    return list(family.special.type)
 
 
 def _is_balanced(exps):
@@ -210,28 +216,20 @@ def langton_step(family: DiskFamily, seed=0):
     generic fiber a destabilizing quotient, which the precondition forbids.
     ``seed`` is accepted and ignored: the step is deterministic.
     """
-    special = _checked_special(family)
-    current, certificate, _ = _step(family, special)
-    return current, certificate, HNRecord(step=0, special_type=special.type)
-
-
-def _checked_special(family):
-    """The factored special fiber, after the preconditions of ``langton_step``."""
-    special = _SpecialFiber(family)
-    if _is_balanced(special.type):
+    special_type = family.special.type
+    if _is_balanced(special_type):
         raise PreconditionError("special fiber is already semistable")
     if not _generic_balanced(family):
         raise PreconditionError("generic fiber is not semistable")
-    return special
+    current, certificate = _step(family)
+    return current, certificate, HNRecord(step=0, special_type=special_type)
 
 
-def _step(family, special):
-    """``langton_step`` after its precondition checks.
-
-    ``special`` is the family's factored special fiber; returns (new
-    family, certificate, factored special fiber of the new family).
-    """
+def _step(family):
+    """``langton_step`` after its precondition checks; returns (new
+    family, certificate)."""
     n = family.n
+    special = family.special
     special_type = special.type
     left_total = right_total = None
     current = family
@@ -260,7 +258,7 @@ def _step(family, special):
         right_total = right if right_total is None else linalg.mat_mul(right_total, right)
         current = DiskFamily(t2)  # regularity at s = 0 re-validated here
 
-        special = _SpecialFiber(current)
+        special = current.special
         if special.type == special_type:
             continue
         if not special.type < special_type:
@@ -271,7 +269,7 @@ def _step(family, special):
             right=tuple(tuple(r) for r in right_total))
         if not certificate.verify(family, current):
             raise InternalInvariantError("step certificate failed to re-multiply")
-        return current, certificate, special
+        return current, certificate
 
     raise InternalInvariantError("modification pass bound exceeded")
 
@@ -298,9 +296,8 @@ def langton_reduce(family: DiskFamily, seed=0):
     current = family
     step = 0
     prev_type = None
-    special = _SpecialFiber(current)
     while True:
-        sp = special.type
+        sp = current.special.type
         trail.append(HNRecord(step=step, special_type=sp))
         if prev_type is not None:
             if not sp < prev_type:
@@ -316,7 +313,7 @@ def langton_reduce(family: DiskFamily, seed=0):
         if step >= _MAX_STEPS:
             raise InternalInvariantError(
                 "step bound exceeded; this signals an implementation bug")
-        current, cert, special = _step(current, special)
+        current, cert = _step(current)
         certificates.append(cert)
         step += 1
     return current, trail, certificates

@@ -272,8 +272,7 @@ def minors(m, k, one, zero):
 
 def smith_normal_form(e):
     """U e V = D with U, V unimodular and D = diag(d1 | d2 | ...), di >= 0."""
-    rows = len(e)
-    cols = len(e[0]) if rows else 0
+    rows, cols = dims(e)
     a = [[int(x) for x in row] for row in e]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import PreconditionError, InternalInvariantError
+from .errors import PreconditionError
 from . import linalg
 from .scalars import Scalar
 from .univariate import LaurentZ, SCALARS
@@ -34,13 +34,26 @@ def _in_span(basis, row):
     return linalg._reduce(dict(row), basis) is None
 
 
+@dataclass(frozen=True)
+class ReesModule:
+    """Adapted basis with weights; generator i is z^(-weight_i) basis_i."""
+
+    basis: tuple      # n row vectors of Scalar
+    weights: tuple    # matching integer weights, non-increasing
+
+    @property
+    def n(self):
+        return len(self.weights)
+
+
 class FilteredSpace:
     """Complete decreasing filtration of Scalar^n by explicit bases.
 
     ``steps`` maps every integer p in p_min..p_max to a spanning set of
     F^p; F^p = V for p < p_min and 0 for p > p_max are implied.  The
     constructor verifies completeness (F^(p_min) is everything) and
-    nesting by exact rank computations.
+    nesting by exact rank computations, and keeps the Rees module of the
+    filtration as ``rees``.
     """
 
     def __init__(self, n, steps):
@@ -58,10 +71,27 @@ class FilteredSpace:
             self._span[p] = linalg.rref(linalg.echelon(map(linalg._sparse_row, rows)))
         if len(self._span[self.p_min]) != n:
             raise PreconditionError("filtration is not complete: first step must be V")
-        for p in ps[:-1]:
-            for row in self._span[p + 1].values():
-                if not _in_span(self._span[p], row):
-                    raise PreconditionError(f"F^{p + 1} is not contained in F^{p}")
+        # One pass from the top step down.  The running echelon basis spans
+        # F^(p+1) when step p starts; each row of F^p it does not span yet
+        # joins the adapted basis with weight p, and F^(p+1) lies in F^p
+        # exactly when the running basis then has dim F^p rows.  After each
+        # step it restarts from a copy of F^p's reduced basis, so a failure
+        # at p cannot hide or fake one below; the lowest failing p is named.
+        zero = Scalar.zero()
+        running, chosen, weights, failed = {}, [], [], None
+        for p in reversed(ps):
+            span = self._span[p]
+            for c in sorted(span):
+                size = len(running)
+                if len(linalg.echelon([span[c]], running)) > size:
+                    chosen.append(tuple(span[c].get(j, zero) for j in range(n)))
+                    weights.append(p)
+            if len(running) != len(span):
+                failed = p
+            running = dict(span)
+        if failed is not None:
+            raise PreconditionError(f"F^{failed + 1} is not contained in F^{failed}")
+        self.rees = ReesModule(basis=tuple(chosen), weights=tuple(weights))
 
     def dim(self, p):
         if p < self.p_min:
@@ -102,18 +132,6 @@ class FilteredSpace:
 
 
 @dataclass(frozen=True)
-class ReesModule:
-    """Adapted basis with weights; generator i is z^(-weight_i) basis_i."""
-
-    basis: tuple      # n row vectors of Scalar
-    weights: tuple    # matching integer weights, non-increasing
-
-    @property
-    def n(self):
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
 class PurityReport:
     splitting: tuple
     pure: bool
@@ -121,21 +139,9 @@ class PurityReport:
 
 
 def build_rees(fs: FilteredSpace) -> ReesModule:
-    """Deterministic adapted basis by echelon refinement from the top step."""
-    chosen = []
-    weights = []
-    span = {}
-    for p in range(fs.p_max, fs.p_min - 1, -1):
-        for v in fs.basis(p):
-            if len(linalg.echelon([linalg._sparse_row(v)], span)) > len(chosen):
-                chosen.append(tuple(v))
-                weights.append(p)
-    if len(chosen) != fs.n:
-        raise InternalInvariantError("adapted basis has wrong size")
-    for p in fs.steps_range():
-        if sum(1 for w in weights if w >= p) != fs.dim(p):
-            raise InternalInvariantError("weights do not reproduce filtration dims")
-    return ReesModule(basis=tuple(chosen), weights=tuple(weights))
+    """The Rees module the constructor built: an adapted basis chosen by
+    echelon refinement from the top step, rows of each step in pivot order."""
+    return fs.rees
 
 
 def recover_filtration(rm: ReesModule) -> FilteredSpace:
@@ -190,8 +196,7 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
     if fs.n != fs_bar.n:
         raise PreconditionError("the two filtrations live on different spaces")
     n = fs.n
-    rf = build_rees(fs)
-    rb = build_rees(fs_bar)
+    rf, rb = fs.rees, fs_bar.rees
     ubasis = [list(v) for v in rb.basis]
     if pairing is not None:
         pmat = _as_scalar_rows(pairing, n)

@@ -46,11 +46,6 @@ class RealLinearOp:
         self.n = len(p)
 
     @staticmethod
-    def zero(n):
-        z = [[Scalar.zero()] * n for _ in range(n)]
-        return RealLinearOp(z, [row[:] for row in z])
-
-    @staticmethod
     def identity(n):
         return RealLinearOp(linalg.identity(n, Scalar.one(), Scalar.zero()),
                             [[Scalar.zero()] * n for _ in range(n)])
@@ -308,6 +303,8 @@ def quaternionic_sff_space(r, rprime, constraints="quaternionic") -> int:
     """
     if constraints not in ("quaternionic", "complex"):
         raise PreconditionError("constraints must be 'quaternionic' or 'complex'")
+    if r < 0 or rprime < 0:
+        raise PreconditionError("quaternionic ranks must be non-negative")
     src = _real_structures(r)
     dst = _real_structures(rprime)
     nxs, nxd = 4 * r, 4 * rprime

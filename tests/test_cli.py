@@ -251,9 +251,19 @@ def test_langton_rank_zero_subprocess_has_no_traceback():
     ["rings", "conj", "--inline",
      '{"scalar": {"order": 5, "coeffs": [0.1, 0, 0, 0]}}'],
     ["gmquot", "fixed", "--weights", "0,1,2", "--a", "1/0"],
+    ["rings", "snf", "--inline", '{"matrix": [[1.5, 2], [3, true]]}'],
+    ["rees", "fiber", "--inline",
+     '{"rees": {"weights": [1, 0], "basis": [["1", "0"], ["0", "1"]]},'
+     ' "point": 1.7}'],
+    ["twistor", "sff", "--inline", '{"r": 1.9, "rprime": true}'],
+    ["rings", "snf", "--inline", '{"matrix": [[1, 2], [3]]}'],
+    ["rings", "snf", "--inline", '{"matrix": [[1], [2, 3]]}'],
+    ["twistor", "sff", "--inline", '{"r": -1, "rprime": 1}'],
+    ["twistor", "sff", "--inline", '{"r": 1, "rprime": -2}'],
 ])
 def test_bad_rationals_are_precondition_errors(argv):
-    # zero denominators and inexact floats are the caller's error: exit 1
+    # zero denominators, inexact floats, booleans read as numbers, ragged
+    # integer matrices and negative ranks are the caller's error: exit 1
     # with one JSON error document, never a traceback
     proc = run_cli_process(argv)
     assert proc.returncode == 1
@@ -278,10 +288,64 @@ def test_bad_rationals_are_precondition_errors(argv):
     ["langton", "generic", "--inline",
      '{"family": {"rank": 1, "entries":'
      ' [[[{"zexp": false, "coeff": {"num": ["1"], "den": ["1"]}}]]]}}'],
+    ["rings", "conj", "--inline",
+     '{"scalar": {"order": 5.0, "coeffs": ["1", "0", "0", "0"]}}'],
+    ["rings", "conj", "--inline",
+     '{"scalar": {"order": true, "coeffs": ["1"]}}'],
 ])
 def test_json_booleans_and_floats_are_precondition_errors(argv, capsys):
     # true would read as 1 and 1.5 as the exponent 1: neither is a number here
     assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
+
+
+def test_ragged_snf_and_negative_sff_ranks_give_their_reasons(capsys):
+    for matrix in ([[1, 2], [3]], [[1], [2, 3]]):
+        assert cli.main(["rings", "snf", "--inline",
+                         json.dumps({"matrix": matrix})]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["reason"] == \
+            "ragged matrix"
+    for r, rprime in ((-1, 1), (1, -2)):
+        assert cli.main(["twistor", "sff", "--inline",
+                         json.dumps({"r": r, "rprime": rprime})]) == 1
+        assert "non-negative" in json.loads(
+            capsys.readouterr().out)["error"]["reason"]
+
+
+# (fixture, path to one integer field); the CLI verb is the fixture's
+INTEGER_FIELDS = [
+    ("rings_minors.json", ["k"]), ("rings_minors.json", ["vars"]),
+    ("rees_fiber0.json", ["point"]), ("rees_fiber0.json", ["rees", "weights", 0]),
+    ("rees_build_flag.json", ["filtration", "dim"]),
+    ("rees_build_flag.json", ["filtration", "steps", 1, "p"]),
+    ("twistor_sff.json", ["r"]), ("twistor_sff.json", ["rprime"]),
+    ("twistor_bundle_r1.json", ["r"]),
+    ("lambda_pref.json", ["line", "g"]),
+    ("jumploci_dims.json", ["cw", "a"]), ("jumploci_dims.json", ["cw", "m"]),
+    ("jumploci_dims.json", ["cw", "l"]),
+    ("jumploci_contains.json", ["k"]),
+    ("jumploci_contains.json", ["subtorus", "E", 0, 0]),
+    ("jumploci_scan.json", ["count"]),
+    ("gmquot_invariants.json", ["degree"]),
+    ("gmquot_invariants.json", ["action", "weights", 1]),
+    ("langton_gap2.json", ["family", "rank"]),
+]
+
+
+@pytest.mark.parametrize("bad", [float, lambda x: True], ids=["float", "bool"])
+@pytest.mark.parametrize("fixture,path", INTEGER_FIELDS)
+def test_integer_fields_refuse_floats_and_booleans(fixture, path, bad, capsys):
+    # the float keeps the fixture's value, so only its type is wrong
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    case = next(c for c in json.loads((fixtures / "manifest.json").read_text())
+                ["cases"] if c["input"] == fixture)
+    data = json.loads((fixtures / fixture).read_text())
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = bad(holder[path[-1]])
+    argv = [case["sub"], case["verb"], "--inline", json.dumps(data)]
+    assert cli.main(argv + ["--seed", "7"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
 
 

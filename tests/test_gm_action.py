@@ -51,8 +51,13 @@ def test_decompose():
     assert dec2.minus_weights == frozenset()
     with pytest.raises(PreconditionError):
         decompose(WeightedAction([0, 1, 2], Fraction(-1)))
-    with pytest.raises(PreconditionError):
-        decompose(W012, plus_weights={2})  # not downward closed
+    for shift in (Fraction(-5, 2), Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2)):
+        # V+ is downward and V- upward closed in the attraction order
+        action = WeightedAction([0, 1, 2], shift)
+        dec = decompose(action)
+        for u, v in comp_order(action).sorted_pairs():
+            assert u in dec.plus_weights or v not in dec.plus_weights
+            assert v in dec.minus_weights or u not in dec.minus_weights
 
 
 def test_membership_fixtures():

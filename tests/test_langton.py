@@ -199,6 +199,21 @@ def test_reduce_computes_each_special_type_once(svar, monkeypatch,
     assert types == []
 
 
+def test_special_fiber_is_factored_once_per_family(svar, special_reductions):
+    fam = fixture_gap4(svar)
+    assert fam.special is fam.special
+    assert special_splitting(fam) == [2, -2]
+    assert len(special_reductions.reduced) == 1
+    new, _, record = langton_step(fam)
+    assert record.special_type == (2, -2)
+    # each family the step built was reduced once, the result included, so
+    # reading the new special type reduces nothing more
+    count = len(special_reductions.reduced)
+    assert count == len(special_reductions.fibers)
+    assert special_splitting(new) == list(new.special.type)
+    assert len(special_reductions.reduced) == count
+
+
 def test_reduce_ignores_seed():
     fam = chart_changed_family(5)
     out, trail, certs = langton_reduce(fam, seed=0)

@@ -4,8 +4,8 @@ import pytest
 
 from hodgekit import cli, linalg
 from hodgekit.errors import PreconditionError
-from hodgekit.rees import (FilteredSpace, build_rees, fiber, griffiths_check,
-                           recover_filtration, rees_p1)
+from hodgekit.rees import (FilteredSpace, ReesModule, build_rees, fiber,
+                           griffiths_check, recover_filtration, rees_p1)
 from hodgekit.scalars import Scalar
 from hodgekit.selftest import random_filtration, random_scalar
 from hodgekit.univariate import LaurentZ, SCALARS
@@ -40,6 +40,81 @@ def test_validation():
         FilteredSpace(2, {0: [basis_vec(0, 2), basis_vec(1, 2)],
                           1: [basis_vec(0, 2)],
                           2: [basis_vec(1, 2)]})
+
+
+def test_nesting_reason_names_the_lowest_failing_step():
+    e1, e2 = basis_vec(0, 2), basis_vec(1, 2)
+    # two violations, F^2 in F^1 and F^3 in F^2: the lowest one is reported
+    with pytest.raises(PreconditionError,
+                       match=r"^F\^2 is not contained in F\^1$"):
+        FilteredSpace(2, {0: [e1, e2], 1: [e1], 2: [e2], 3: [e1]})
+    with pytest.raises(PreconditionError, match="^filtration is not complete: "
+                       "first step must be V$"):
+        FilteredSpace(2, {0: [e1], 1: [e2]})
+
+
+def nesting_reason_step_by_step(n, steps):
+    """Reference reason by ranks: completeness first, then the lowest p with
+    F^(p+1) outside F^p; None for a valid filtration."""
+    ps = sorted(steps)
+    if linalg.rank(steps[ps[0]]) != n:
+        return "filtration is not complete: first step must be V"
+    for p in ps[:-1]:
+        lower, upper = steps[p], steps[p + 1]
+        if linalg.rank(lower + upper) != linalg.rank(lower):
+            return f"F^{p + 1} is not contained in F^{p}"
+    return None
+
+
+def test_nesting_reason_matches_step_by_step_check(rng):
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        p_min = rng.randint(-2, 2)
+        steps = {}
+        for k in range(rng.randint(1, 5)):
+            count = n if k == 0 and rng.random() < 0.8 else rng.randint(0, n)
+            steps[p_min + k] = [[sc(rng.randint(-1, 1)) for _ in range(n)]
+                                for _ in range(count)]
+        want = nesting_reason_step_by_step(n, steps)
+        seen.add(want is None)
+        if want is None:
+            FilteredSpace(n, steps)
+        else:
+            with pytest.raises(PreconditionError) as info:
+                FilteredSpace(n, steps)
+            assert str(info.value) == want
+    assert seen == {True, False}
+
+
+def rees_by_refinement(fs):
+    """Reference adapted basis: a separate echelon refinement over the
+    reduced bases of the steps, from the top step down."""
+    chosen, weights, span = [], [], {}
+    for p in range(fs.p_max, fs.p_min - 1, -1):
+        for v in fs.basis(p):
+            if len(linalg.echelon([linalg._sparse_row(v)], span)) > len(chosen):
+                chosen.append(tuple(v))
+                weights.append(p)
+    return ReesModule(basis=tuple(chosen), weights=tuple(weights))
+
+
+def test_build_rees_matches_separate_refinement(rng):
+    for _ in range(200):
+        fs = random_filtration(rng, max_dim=6, max_len=5)
+        assert build_rees(fs) == rees_by_refinement(fs)
+
+
+def test_build_rees_runs_no_elimination(rng, monkeypatch):
+    cases = [random_filtration(rng, max_dim=5, max_len=4) for _ in range(20)]
+    wants = [rees_by_refinement(fs) for fs in cases]
+
+    def refuse(*args):
+        raise AssertionError("build_rees eliminated again")
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for fs, want in zip(cases, wants):
+        assert build_rees(fs) == want
 
 
 def test_recover_examples():
