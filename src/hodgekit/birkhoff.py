@@ -23,9 +23,19 @@ With u_j the columns of U, G (z^k u_j) = z^(k+d_j) (column j of H), so
 z^k u_j is a section of B(m) exactly when 0 <= k <= m - d_j; as U lies in
 GL_n(K[z]) and H in GL_n(K[1/z]), these vectors form a basis of
 H0(B(m)), and h0(B(m)) = sum_j max(0, a_j + m + 1).
+
+A second reduction inverts a frame A in GL_n(K[1/z]) with constant
+determinant.  In w = 1/z, A is a polynomial matrix of determinant degree
+0, so its column reduction ends with every column degree 0: A V = K0 with
+K0 constant and V in GL_n(K[w]), hence A^(-1) = V K0^(-1).  Langton's
+A0^(-1) is this inverse, and a matrix G with constant unit determinant
+inverts as G^(-1) = U diag(z^(-d)) A^(-1) from its own reduction; no
+adjugate is expanded.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import PreconditionError, InternalInvariantError
 from . import linalg
@@ -44,9 +54,8 @@ class P1Bundle:
         n = len(entries)
         if n == 0:
             raise PreconditionError("transition matrix must have rank >= 1")
-        for row in entries:
-            if len(row) != n:
-                raise PreconditionError("transition matrix must be square")
+        if any(len(row) != n for row in entries):
+            raise PreconditionError("transition matrix must be square")
         self.field = field
         self.n = n
         self.entries = [list(r) for r in entries]
@@ -56,19 +65,24 @@ class P1Bundle:
             raise PreconditionError("transition determinant is not a unit")
         (self.det_exp, self.det_coeff), = det.terms.items()
 
+    @functools.cached_property
+    def reduction(self):
+        """(columns, d, log) of the column reduction, run on first use."""
+        return _column_reduce(list(zip(*self.entries)), self.det_exp)
+
     def __repr__(self):
         return f"P1Bundle(n={self.n}, det=z^{self.det_exp})"
 
 
-def _column_reduce(bundle: P1Bundle):
-    """Column reduction of the transition matrix (see the module docstring).
+def _column_reduce(cols, dd):
+    """Column reduction (see the module docstring) of the matrix with
+    columns ``cols`` and determinant degree ``dd``.
 
     Returns the reduced columns, their top exponents d_j and the log of
     column operations: each entry (j, [(k, shift, factor), ...]) replaced
     col_j by the sum of factor * z^shift * col_k, with the k = j term 1.
     """
-    n, field, dd = bundle.n, bundle.field, bundle.det_exp
-    cols = [[bundle.entries[i][j] for i in range(n)] for j in range(n)]
+    n, field, cols = len(cols), cols[0][0].field, list(cols)
     deg = [_top_exp(col) for col in cols]
     budget = sum(deg) - dd
     log = []
@@ -106,17 +120,17 @@ def _column_reduce(bundle: P1Bundle):
 def splitting_type(bundle: P1Bundle):
     """The non-increasing Grothendieck exponents (a_1 >= ... >= a_n), by
     column reduction of the transition matrix (see the module docstring)."""
-    _, deg, _ = _column_reduce(bundle)
+    _, deg, _ = bundle.reduction
     return sorted((-d for d in deg), reverse=True)
 
 
-def _reduced_frame(bundle: P1Bundle, inverse):
+def _reduced_frame(reduction, inverse):
     """(A, d, V) from one column reduction G U = A diag(z^d): A lies in
     GL_n(K[1/z]), U in GL_n(K[z]) is the product of the logged column
     operations, and V is U, or U^(-1) when ``inverse`` (each logged step
     undone by the row operations row_k -= factor z^shift row_j, k != j)."""
-    cols, deg, log = _column_reduce(bundle)
-    n, field = bundle.n, bundle.field
+    cols, deg, log = reduction
+    n, field = len(cols), cols[0][0].field
     amat = [[cols[j][i].shift(-deg[j]) for j in range(n)] for i in range(n)]
     mat = linalg.identity(n, LaurentZ.one(field), LaurentZ.zero(field))
     for j, ops in log:
@@ -140,36 +154,42 @@ def h0_twist(bundle: P1Bundle, m: int) -> int:
 def section_basis(bundle, m):
     """Basis of H0(B(m)) as vectors of polynomial LaurentZ entries: the
     z^k u_j with 0 <= k <= m - d_j, u_j column j of U (module docstring)."""
-    _, deg, umat = _reduced_frame(bundle, inverse=False)
+    _, deg, umat = _reduced_frame(bundle.reduction, inverse=False)
     return [[row[j].shift(k) for row in umat]
             for j, d in enumerate(deg) for k in range(m - d + 1)]
 
 
-def _adjugate(mat, field):
-    n = len(mat)
-    one, zero = LaurentZ.one(field), LaurentZ.zero(field)
-    if n == 1:
-        return [[one]]
-    adj = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[mat[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            m = linalg.det_ring(sub, one, zero)
-            adj[j][i] = m if (i + j) % 2 == 0 else -m
-    return adj
+def _flip(x):
+    """x(1/z): the exponents negated."""
+    return LaurentZ(x.field, {-e: c for e, c in x.terms.items()})
+
+
+def _inverse_frame(amat):
+    """A^(-1) for A in GL_n(K[1/z]) with constant determinant, from the
+    column reduction of A(1/w) (module docstring): A V = K0, and K0^(-1)
+    is applied by combining the columns of V with scalar factors."""
+    n, field = len(amat), amat[0][0].field
+    k0, _, vmat = _reduced_frame(
+        _column_reduce([[_flip(row[j]) for row in amat] for j in range(n)], 0),
+        inverse=False)
+    kinv = linalg.invert([[x.coeff(0) for x in row] for row in k0],
+                         field.one, field.zero)
+    zero = LaurentZ.zero(field)
+    return [[_flip(sum((x.scale(c[j]) for x, c in zip(row, kinv)
+                        if not c[j].is_zero), zero)) for j in range(n)]
+            for row in vmat]
 
 
 def invert_unimodular(mat, field):
-    """Inverse of a matrix with constant unit determinant; entries stay
-    in the same chart ring because the adjugate does."""
-    one, zero = LaurentZ.one(field), LaurentZ.zero(field)
-    det = linalg.det_ring(mat, one, zero)
-    if det.is_zero or not det.is_monomial() or det.min_exp() != 0:
+    """Inverse of a matrix G with constant unit determinant, in the same
+    chart ring: G U = A diag(z^d) from G's column reduction, so
+    G^(-1) = U diag(z^(-d)) A^(-1) (module docstring)."""
+    bundle = P1Bundle(field, mat)  # refuses a non-unit determinant
+    if bundle.det_exp:
         raise PreconditionError("matrix determinant is not a unit constant")
-    dinv = det.coeff(0).inv()
-    adj = _adjugate(mat, field)
-    return [[x.scale(dinv) for x in row] for row in adj]
+    amat, deg, umat = _reduced_frame(bundle.reduction, inverse=False)
+    return linalg.mat_mul(umat, [[x.shift(-d) for x in row]
+                                 for row, d in zip(_inverse_frame(amat), deg)])
 
 
 def factorization_certificate(bundle: P1Bundle):
@@ -182,7 +202,7 @@ def factorization_certificate(bundle: P1Bundle):
     The product is re-multiplied before it is returned.
     """
     n, field = bundle.n, bundle.field
-    amat, deg, cmat = _reduced_frame(bundle, inverse=True)
+    amat, deg, cmat = _reduced_frame(bundle.reduction, inverse=True)
     zero = LaurentZ.zero(field)
     dmat = [[LaurentZ.monomial(field, deg[i]) if i == j else zero
              for j in range(n)] for i in range(n)]

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 precondition or schema violation (the payload
 carries a machine-readable reason), 2 internal invariant breach or any
-other exception, reported as one JSON document without a traceback.  Seeds
+other exception, reported as one JSON document without a traceback.  A
+KeyError, TypeError or ValueError is a schema violation only while the
+input is read; raised by the computation, it is a hodgekit bug.  Seeds
 are mandatory for randomized verbs.
 """
 
@@ -13,6 +15,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 
 from .errors import InternalInvariantError, PreconditionError
 from . import jsonio
@@ -89,8 +92,7 @@ def _rings(verb, data, seed):
     if verb == "minors":
         _need(data, "matrix", "k", "vars")
         rank_a = jsonio.integer_from_json(data["vars"])
-        rows = [[jsonio.laurent_from_json(rank_a, e) for e in r]
-                for r in data["matrix"]]
+        rows = jsonio.laurent_matrix_from_json(rank_a, data["matrix"])
         from .laurent import LaurentPoly
         mins = linalg.minors(rows, jsonio.integer_from_json(data["k"]),
                              LaurentPoly.one(rank_a), LaurentPoly.zero(rank_a))
@@ -98,7 +100,7 @@ def _rings(verb, data, seed):
     if verb == "snf":
         _need(data, "matrix")
         u, d, v = linalg.smith_normal_form(
-            [[jsonio.integer_from_json(x) for x in row] for row in data["matrix"]])
+            jsonio.integer_matrix_from_json(data["matrix"]))
         return {"U": u, "D": d, "V": v}
     raise PreconditionError(f"unknown rings verb {verb!r}")
 
@@ -122,7 +124,7 @@ def _rees(verb, data, seed):
     if verb == "griffiths":
         _need(data, "filtration", "nabla")
         fs = jsonio.filtration_from_json(data["filtration"])
-        mats = [jsonio.matrix_from_json(m) for m in data["nabla"]]
+        mats = jsonio.list_from_json(data["nabla"], jsonio.matrix_from_json)
         return {"transversal": rees_mod.griffiths_check(fs, mats)}
     if verb == "glue":
         _need(data, "F", "Fbar")
@@ -233,7 +235,8 @@ def _gmquot(verb, data, seed):
     if verb == "order":
         witnesses = None
         if data.get("witnesses"):
-            witnesses = [jsonio.point_from_json(x) for x in data["witnesses"]]
+            witnesses = jsonio.list_from_json(data["witnesses"],
+                                              jsonio.point_from_json)
         order = gm.comp_order(action, witnesses)
         return {"pairs": [list(p) for p in order.sorted_pairs()]}
     if verb == "decompose":
@@ -250,16 +253,12 @@ def _gmquot(verb, data, seed):
         return {"equivalent": gm.orbit_equivalent(action, x, y)}
     if verb == "arc":
         arc = jsonio.arc_from_json(_need(data, "arc")["arc"])
-        segments = gm.newton_limits(action, arc)
-        segs = []
-        for s in segments:
-            segs.append({
-                "kind": s.kind,
-                "lo": None if s.lo is None else str(s.lo),
-                "hi": None if s.hi is None else str(s.hi),
-                "component": s.weight,
-                "point": jsonio.point_to_json(s.point)})
-        out = {"segments": segs}
+        out = {"segments": [{"kind": s.kind,
+                             "lo": None if s.lo is None else str(s.lo),
+                             "hi": None if s.hi is None else str(s.hi),
+                             "component": s.weight,
+                             "point": jsonio.point_to_json(s.point)}
+                            for s in gm.newton_limits(action, arc)]}
         try:
             dec = gm.decompose(action)
             eps, landing = gm.choose_gauge(action, dec, arc)
@@ -284,7 +283,7 @@ def _langton(verb, data, seed):
         new_fam, cert, record = lg.langton_step(fam)
         return {"family": jsonio.family_to_json(new_fam),
                 "special_before": list(record.special_type),
-                "special_after": list(new_fam.special.type),
+                "special_after": lg.special_splitting(new_fam),
                 "certificate": _cert_json(cert)}
     if verb == "reduce":
         out, trail, certs = lg.langton_reduce(fam)
@@ -377,10 +376,22 @@ def _execute(args):
         data = _gm_payload(args) if args.subcommand == "gmquot" else _payload(args)
         result = handler(args.verb, data, args.seed)
     except (KeyError, TypeError, ValueError) as ex:
-        if isinstance(ex, PreconditionError):
+        if isinstance(ex, PreconditionError) or not _reading(ex.__traceback__):
             raise
         raise PreconditionError(f"input does not match the schema: {ex}")
     return result, 0
+
+
+_READERS = {_payload.__code__, _gm_payload.__code__, _need.__code__}
+
+
+def _reading(tb):
+    """Whether the traceback passes through a reader of the input: the
+    payload readers, ``_need`` or a ``jsonio`` ``*_from_json``."""
+    return any(f.f_code in _READERS or (
+        f.f_globals.get("__name__") == jsonio.__name__
+        and f.f_code.co_name.endswith("_from_json"))
+        for f, _ in traceback.walk_tb(tb))
 
 
 def main(argv=None):

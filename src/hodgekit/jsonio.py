@@ -56,10 +56,25 @@ def matrix_to_json(m):
     return [vector_to_json(r) for r in m]
 
 
-def matrix_from_json(rows):
+def _rows(rows):
     if not isinstance(rows, list) or not rows:
         raise PreconditionError("expected a non-empty matrix")
-    return [vector_from_json(r) for r in rows]
+    return rows
+
+
+def matrix_from_json(rows):
+    return [vector_from_json(r) for r in _rows(rows)]
+
+
+def integer_matrix_from_json(rows):
+    return [[integer_from_json(x) for x in r] for r in _rows(rows)]
+
+
+def list_from_json(xs, read):
+    """``read`` applied to every item of a JSON list."""
+    if not isinstance(xs, list):
+        raise PreconditionError("expected a list")
+    return [read(x) for x in xs]
 
 
 def fraction_from_json(x):
@@ -99,6 +114,10 @@ def laurent_from_json(rank, data) -> LaurentPoly:
     return LaurentPoly(rank, terms)
 
 
+def laurent_matrix_from_json(rank, rows):
+    return [[laurent_from_json(rank, e) for e in r] for r in _rows(rows)]
+
+
 # -- one-variable Laurent, gaussian or ratfun_s coefficients -------------
 
 
@@ -120,10 +139,15 @@ def laurentz_to_json(lz: LaurentZ, tag):
 
 
 def laurentz_from_json(data, tag):
+    return _laurentz_from_json(data, tag, "exp")
+
+
+def _laurentz_from_json(data, tag, key):
+    """A term list whose exponents are stored under ``key``."""
     field = SCALARS if tag == "gaussian" else RATFUNC_S
     terms = {}
     for item in data:
-        e = integer_from_json(item["exp"])
+        e = integer_from_json(item[key])
         c = _coeff_from_json(item["coeff"], tag)
         terms[e] = terms.get(e, field.zero) + c
     return LaurentZ(field, terms)
@@ -264,31 +288,15 @@ def arc_from_json(data) -> Arc:
 
 
 def family_to_json(f: DiskFamily):
-    out = []
-    for row in f.entries:
-        jr = []
-        for e in row:
-            jr.append([{"zexp": k,
-                        "coeff": {"num": vector_to_json(list(c.num)),
-                                  "den": vector_to_json(list(c.den))}}
-                       for k, c in sorted(e.terms.items())])
-        out.append(jr)
-    return {"rank": f.n, "entries": out}
+    return {"rank": f.n,
+            "entries": [[[{"zexp": k, "coeff": _coeff_to_json(c, "ratfun_s")}
+                          for k, c in sorted(e.terms.items())] for e in row]
+                        for row in f.entries]}
 
 
 def family_from_json(d) -> DiskFamily:
-    entries = []
-    for row in d["entries"]:
-        er = []
-        for e in row:
-            terms = {}
-            for item in e:
-                k = integer_from_json(item["zexp"])
-                c = RatFunc(vector_from_json(item["coeff"]["num"]),
-                            vector_from_json(item["coeff"]["den"]))
-                terms[k] = terms.get(k, RATFUNC_S.zero) + c
-            er.append(LaurentZ(RATFUNC_S, terms))
-        entries.append(er)
+    entries = [[_laurentz_from_json(e, "ratfun_s", "zexp") for e in row]
+               for row in d["entries"]]
     if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("family rank disagrees with entry count")
     return DiskFamily(entries)

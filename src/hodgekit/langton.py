@@ -9,7 +9,8 @@ but the special one is not, one elementary modification
     T' = diag(s^-delta) * A0^(-1) * T * C0^(-1) * diag(s^delta)
 
 with T|_(s=0) = A0 D C0 the Birkhoff factorization from one column
-reduction of the special fiber (C0^(-1) is the reduction's own transform)
+reduction of the special fiber (C0^(-1) is the reduction's own transform,
+and A0^(-1) comes from a second column reduction, of A0 in w = 1/z)
 and delta_i = 1 exactly on the summands of below-average degree (the
 destabilizing quotient) strictly improves the special fiber; iterating
 terminates with a balanced special fiber and never moves the generic one.
@@ -33,7 +34,7 @@ from fractions import Fraction
 from .errors import PreconditionError, InternalInvariantError
 from .scalars import Scalar
 from . import linalg
-from .birkhoff import (P1Bundle, _reduced_frame, invert_unimodular,
+from .birkhoff import (P1Bundle, _inverse_frame, _reduced_frame,
                        splitting_type)
 from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
 
@@ -45,17 +46,13 @@ class DiskFamily:
         n = len(entries)
         if n == 0:
             raise PreconditionError("family matrix must have rank >= 1")
-        for row in entries:
-            if len(row) != n:
-                raise PreconditionError("family matrix must be square")
+        if any(len(row) != n for row in entries):
+            raise PreconditionError("family matrix must be square")
         self.n = n
         self.entries = [list(r) for r in entries]
-        for row in self.entries:
-            for e in row:
-                for c in e.terms.values():
-                    if not c.regular_at_zero():
-                        raise PreconditionError(
-                            "family coefficients must be regular at s = 0")
+        if not all(c.regular_at_zero() for row in self.entries for e in row
+                   for c in e.terms.values()):
+            raise PreconditionError("family coefficients must be regular at s = 0")
         det = linalg.det_ring(self.entries,
                               LaurentZ.one(RATFUNC_S), LaurentZ.zero(RATFUNC_S))
         if det.is_zero or not det.is_monomial():
@@ -64,9 +61,6 @@ class DiskFamily:
         if not self.det_coeff.regular_at_zero() or \
                 self.det_coeff.eval(0).is_zero:
             raise PreconditionError("family determinant degenerates at s = 0")
-
-    def generic_bundle(self) -> P1Bundle:
-        return P1Bundle(RATFUNC_S, self.entries)
 
     def fiber_at(self, s0) -> P1Bundle:
         """The fiber over s = s0.
@@ -80,13 +74,10 @@ class DiskFamily:
                  for row in self.entries]
         return P1Bundle(SCALARS, fiber)
 
-    def special_bundle(self) -> P1Bundle:
-        return self.fiber_at(0)
-
     @functools.cached_property
-    def special(self):
-        """The special fiber, factored once by one column reduction."""
-        return _SpecialFiber(self)
+    def special(self) -> P1Bundle:
+        """The special fiber, kept so that it is column-reduced once."""
+        return self.fiber_at(0)
 
 
 @dataclass(frozen=True)
@@ -110,11 +101,12 @@ class StepCertificate:
 
 
 def generic_splitting(family: DiskFamily):
-    return splitting_type(family.generic_bundle())
+    return splitting_type(P1Bundle(RATFUNC_S, family.entries))
 
 
 def special_splitting(family: DiskFamily):
-    return list(family.special.type)
+    _, deg, _ = family.special.reduction
+    return sorted((-d for d in deg), reverse=True)
 
 
 def _is_balanced(exps):
@@ -149,10 +141,8 @@ def _generic_balanced(family: DiskFamily) -> bool:
 
 
 def _embed_scalar_matrix(mat):
-    out = []
-    for row in mat:
-        out.append([e.map_coeffs(lambda c: RatFunc([c]), RATFUNC_S) for e in row])
-    return out
+    return [[e.map_coeffs(lambda c: RatFunc([c]), RATFUNC_S) for e in row]
+            for row in mat]
 
 
 def _s_scaled(entries, row_exps, col_exps):
@@ -175,29 +165,11 @@ def _s_valuation(rf: RatFunc):
 
 
 def _block_valuation(entries, delta):
-    """Least s-valuation over the (destabilizing, complement) block."""
-    val = None
-    for i, di in enumerate(delta):
-        if not di:
-            continue
-        for j, dj in enumerate(delta):
-            if dj:
-                continue
-            for c in entries[i][j].terms.values():
-                v = _s_valuation(c)
-                if v is not None:
-                    val = v if val is None else min(val, v)
-    return val
-
-
-class _SpecialFiber:
-    """T|_(s=0) U = A0 diag(z^d) from one column reduction of the special
-    fiber: A0 invertible over K[1/z], U over K[z], d in column order."""
-
-    def __init__(self, family: DiskFamily):
-        self.a0, self.d, self.u = _reduced_frame(family.special_bundle(),
-                                                 inverse=False)
-        self.type = tuple(sorted((-x for x in self.d), reverse=True))
+    """Least s-valuation over the (destabilizing, complement) block, None
+    when the block is zero (stored coefficients are never zero)."""
+    return min((_s_valuation(c) for i, di in enumerate(delta) if di
+                for j, dj in enumerate(delta) if not dj
+                for c in entries[i][j].terms.values()), default=None)
 
 
 # modification passes allowed per step before giving up
@@ -216,7 +188,7 @@ def langton_step(family: DiskFamily, seed=0):
     generic fiber a destabilizing quotient, which the precondition forbids.
     ``seed`` is accepted and ignored: the step is deterministic.
     """
-    special_type = family.special.type
+    special_type = tuple(special_splitting(family))
     if _is_balanced(special_type):
         raise PreconditionError("special fiber is already semistable")
     if not _generic_balanced(family):
@@ -229,21 +201,21 @@ def _step(family):
     """``langton_step`` after its precondition checks; returns (new
     family, certificate)."""
     n = family.n
-    special = family.special
-    special_type = special.type
+    special_type = tuple(special_splitting(family))
     left_total = right_total = None
     current = family
 
     for _ in range(_MAX_PASSES):
         # T|_(s=0) = A0 D U^(-1) with D_jj = z^(d_j) = z^(-a_j)
-        exps = [-d for d in special.d]
+        a0, deg, u = _reduced_frame(current.special.reduction, inverse=False)
+        exps = [-d for d in deg]
         avg = Fraction(sum(exps), n)
         delta = [1 if a < avg else 0 for a in exps]
         if not any(delta) or all(delta):
             raise InternalInvariantError("destabilizing index set must be proper")
 
-        a0_inv = _embed_scalar_matrix(invert_unimodular(special.a0, SCALARS))
-        c0_inv = _embed_scalar_matrix(special.u)
+        a0_inv = _embed_scalar_matrix(_inverse_frame(a0))
+        c0_inv = _embed_scalar_matrix(u)
         t1 = linalg.mat_mul(linalg.mat_mul(a0_inv, current.entries), c0_inv)
         v = _block_valuation(t1, delta)
         if v is None or v < 1:
@@ -258,12 +230,12 @@ def _step(family):
         right_total = right if right_total is None else linalg.mat_mul(right_total, right)
         current = DiskFamily(t2)  # regularity at s = 0 re-validated here
 
-        special = current.special
-        if special.type == special_type:
+        new_type = tuple(special_splitting(current))
+        if new_type == special_type:
             continue
-        if not special.type < special_type:
+        if not new_type < special_type:
             raise InternalInvariantError(
-                f"special type must drop: {special_type} -> {special.type}")
+                f"special type must drop: {special_type} -> {new_type}")
         certificate = StepCertificate(
             left=tuple(tuple(r) for r in left_total),
             right=tuple(tuple(r) for r in right_total))
@@ -291,29 +263,22 @@ def langton_reduce(family: DiskFamily, seed=0):
         raise PreconditionError(
             "generic fiber not semistable: "
             f"splitting {tuple(generic_splitting(family))}")
-    trail = []
-    certificates = []
-    current = family
-    step = 0
-    prev_type = None
+    trail, certificates, current = [], [], family
     while True:
-        sp = current.special.type
-        trail.append(HNRecord(step=step, special_type=sp))
-        if prev_type is not None:
-            if not sp < prev_type:
+        sp = tuple(special_splitting(current))
+        if trail:
+            prev = trail[-1].special_type
+            if not sp < prev:
                 raise InternalInvariantError(
-                    f"trail must decrease strictly: {prev_type} -> {sp}")
-            gap_prev = prev_type[0] - prev_type[-1]
-            gap_now = sp[0] - sp[-1]
-            if gap_now > gap_prev:
+                    f"trail must decrease strictly: {prev} -> {sp}")
+            if sp[0] - sp[-1] > prev[0] - prev[-1]:
                 raise InternalInvariantError("splitting gap increased")
-        prev_type = sp
+        trail.append(HNRecord(step=len(certificates), special_type=sp))
         if _is_balanced(sp):
             break
-        if step >= _MAX_STEPS:
+        if len(certificates) >= _MAX_STEPS:
             raise InternalInvariantError(
                 "step bound exceeded; this signals an implementation bug")
         current, cert = _step(current)
         certificates.append(cert)
-        step += 1
     return current, trail, certificates

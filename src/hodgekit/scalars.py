@@ -483,10 +483,6 @@ class Scalar:
             return a == b
         return a._coeffs == b._coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __str__(self):
         return format_scalar(self)
 

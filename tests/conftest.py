@@ -45,23 +45,27 @@ def svar():
 def special_reductions(monkeypatch):
     """Record the special fibers (s = 0) of Langton families as ``fibers``
     and their column reductions by ``birkhoff._column_reduce`` as
-    ``reduced``; reductions of other bundles, such as the fiber at s = 1
-    that certifies the generic fiber, are not recorded."""
+    ``reduced``.  A bundle's reduction starts from its own entry objects,
+    so a reduction belongs to the recorded fiber whose first entry it
+    holds; other reductions, such as that of the fiber at s = 1 that
+    certifies the generic fiber or the reductions in w = 1/z that invert a
+    frame, are not recorded."""
     from hodgekit import birkhoff, langton
     seen = SimpleNamespace(fibers=[], reduced=[])
-    real_special = langton.DiskFamily.special_bundle
+    real_fiber = langton.DiskFamily.fiber_at
     real_reduce = birkhoff._column_reduce
 
-    def special_bundle(family):
-        bundle = real_special(family)
-        seen.fibers.append(bundle)
+    def fiber_at(family, s0):
+        bundle = real_fiber(family, s0)
+        if s0 == 0:
+            seen.fibers.append(bundle)
         return bundle
 
-    def column_reduce(bundle):
-        if any(bundle is b for b in seen.fibers):
-            seen.reduced.append(bundle)
-        return real_reduce(bundle)
-    monkeypatch.setattr(langton.DiskFamily, "special_bundle", special_bundle)
+    def column_reduce(cols, dd):
+        seen.reduced.extend(b for b in seen.fibers
+                            if cols[0][0] is b.entries[0][0])
+        return real_reduce(cols, dd)
+    monkeypatch.setattr(langton.DiskFamily, "fiber_at", fiber_at)
     monkeypatch.setattr(birkhoff, "_column_reduce", column_reduce)
     return seen
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hodgekit import birkhoff, linalg
 from hodgekit.birkhoff import (P1Bundle, factorization_certificate, h0_twist,
                                invert_unimodular, section_basis, splitting_type)
-from hodgekit.errors import PreconditionError
+from hodgekit.errors import InternalInvariantError, PreconditionError
 from hodgekit.scalars import Scalar
 from hodgekit.selftest import random_unimodular_z
 from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
@@ -343,3 +343,106 @@ def test_type_invariant_under_chart_change(seed, n, count):
     right = elementary_chain(rng, SCALARS, n, +1, count)
     moved = linalg.mat_mul(linalg.mat_mul(left, b.entries), right)
     assert splitting_type(P1Bundle(SCALARS, moved)) == splitting_type(b)
+
+
+# -- inverses from the column reduction, against the adjugate -------------
+
+
+def _adjugate(mat, field):
+    """Test oracle: the adjugate, by n^2 cofactor determinants."""
+    n = len(mat)
+    one, zero = LaurentZ.one(field), LaurentZ.zero(field)
+    if n == 1:
+        return [[one]]
+    adj = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[mat[r][c] for c in range(n) if c != j]
+                   for r in range(n) if r != i]
+            m = linalg.det_ring(sub, one, zero)
+            adj[j][i] = m if (i + j) % 2 == 0 else -m
+    return adj
+
+
+def adjugate_inverse(mat, field):
+    det = linalg.det_ring(mat, LaurentZ.one(field), LaurentZ.zero(field))
+    dinv = det.coeff(0).inv()
+    return [[x.scale(dinv) for x in row] for row in _adjugate(mat, field)]
+
+
+def unit_constant_det(rng, field, n, charts):
+    """A product of elementary chains, one per chart in ``charts`` (+1 for
+    K[z], -1 for K[1/z]), times a constant diagonal matrix."""
+    mat = [[LaurentZ.const(field, _coefficient(rng, field)) if i == j
+            else LaurentZ.zero(field) for j in range(n)] for i in range(n)]
+    for chart in charts:
+        mat = linalg.mat_mul(mat, elementary_chain(rng, field, n, chart,
+                                                   rng.randint(3, 5)))
+    return mat
+
+
+CHARTS = [(+1,), (-1,), (+1, -1), (-1, +1), (-1, +1, -1)]
+
+
+# over K(s) the reduced frame carries large rational coefficients, so
+# the K(s) cases stop at n = 2
+@pytest.mark.parametrize("field,n", [(SCALARS, n) for n in range(1, 7)]
+                         + [(RATFUNC_S, n) for n in range(1, 3)],
+                         ids=[f"qi-{n}" for n in range(1, 7)]
+                         + [f"ks-{n}" for n in range(1, 3)])
+def test_inverses_match_the_adjugate(field, n):
+    rng = random.Random(4000 + n)
+    for charts in CHARTS:
+        for _ in range(2):
+            g = unit_constant_det(rng, field, n, charts)
+            want = adjugate_inverse(g, field)
+            assert linalg.mat_eq(invert_unimodular(g, field), want)
+            if charts == (-1,):
+                # a frame over K[1/z]: the reduction in w = 1/z alone
+                assert linalg.mat_eq(birkhoff._inverse_frame(g), want)
+
+
+def test_inverses_reject_non_unit_determinants():
+    for mat in ([[lzg({1: 1})]], [[lzg({0: 1}), Z0], [Z0, lzg({-2: 3})]]):
+        with pytest.raises(PreconditionError, match="not a unit constant"):
+            invert_unimodular(mat, SCALARS)
+    for mat in ([[lzg({0: 1, 1: 1})]], [[Z0]],
+                [[lzg({0: 1}), lzg({1: 1})], [lzg({0: 1}), lzg({1: 1})]]):
+        with pytest.raises(PreconditionError, match="determinant is not a unit"):
+            invert_unimodular(mat, SCALARS)
+    # a frame over K[1/z] whose determinant 1 + 1/z is not constant
+    with pytest.raises(InternalInvariantError):
+        birkhoff._inverse_frame([[lzg({-1: 1, 0: 1})]])
+
+
+def test_invert_unimodular_takes_one_determinant(monkeypatch):
+    rng = random.Random(4100)
+    n = 10
+    g = unit_constant_det(rng, SCALARS, n, (+1, -1, +1))
+    calls = []
+    real = linalg.det_ring
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(linalg, "det_ring", counted)
+    inv = invert_unimodular(g, SCALARS)
+    assert calls == [n]
+    one = LaurentZ.one(SCALARS)
+    assert linalg.mat_eq(linalg.mat_mul(g, inv), linalg.identity(n, one, Z0))
+
+
+def test_one_reduction_serves_every_question(monkeypatch):
+    calls = []
+    real = birkhoff._column_reduce
+
+    def counted(cols, dd):
+        calls.append(dd)
+        return real(cols, dd)
+    monkeypatch.setattr(birkhoff, "_column_reduce", counted)
+    exps = [2, 0, -1, -1]
+    b = hidden_type_bundle(random.Random(4200), SCALARS, exps, count=5)
+    assert_type_and_h0_window(b, exps, oracle=False)
+    a, d, c = factorization_certificate(b)
+    assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(a, d), c), b.entries)
+    assert calls == [b.det_exp]

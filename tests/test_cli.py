@@ -394,6 +394,38 @@ def test_unexpected_exception_is_internal_exit_2(monkeypatch, capsys):
     assert out["error"] == {"kind": "internal", "reason": "ZeroDivisionError: synthetic"}
 
 
+@pytest.mark.parametrize("error", [TypeError, KeyError, ValueError])
+def test_errors_raised_by_the_computation_exit_2(error, monkeypatch, capsys):
+    # the input decodes; the same exception types mean bad input only
+    # while a reader runs
+    def boom(m):
+        raise error("synthetic")
+    monkeypatch.setattr(cli.linalg, "rank", boom)
+    assert cli.main(["rings", "rank", "--inline", '{"matrix": [["1"]]}']) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "internal"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rings", "rank", "--inline", '{"matrix": [5]}'],
+    ["rings", "snf", "--inline", '{"matrix": [5]}'],
+    ["rings", "minors", "--inline", '{"vars": 1, "k": 1, "matrix": [5]}'],
+    ["rees", "griffiths", "--inline",
+     '{"filtration": {"dim": 1, "steps": []}, "nabla": 5}'],
+    ["gmquot", "order", "--inline",
+     '{"action": {"weights": [0, 1], "a": "0"}, "witnesses": 5}'],
+    ["gmquot", "fixed", "--weights", "0,x"],
+])
+def test_errors_raised_while_reading_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
+
+
+def test_empty_snf_matrix_is_refused(capsys):
+    assert cli.main(["rings", "snf", "--inline", '{"matrix": []}']) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "precondition", "reason": "expected a non-empty matrix"}
+
+
 def test_langton_step_reuses_the_special_type_after(special_reductions):
     # one column reduction of the special fiber before the step, one after;
     # the handler reads both types off them and reduces no third time

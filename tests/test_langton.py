@@ -189,7 +189,7 @@ def test_reduce_computes_each_special_type_once(svar, monkeypatch,
     # and factorizations come from the same single reduction
     for seed in range(3):
         fam = chart_changed_family(seed)
-        special = fam.special_bundle().entries
+        special = fam.special.entries
         assert any(not special[i][j].is_zero
                    for i in range(fam.n) for j in range(fam.n) if i != j)
         del reductions[:], probes[:]
@@ -210,7 +210,7 @@ def test_special_fiber_is_factored_once_per_family(svar, special_reductions):
     # reading the new special type reduces nothing more
     count = len(special_reductions.reduced)
     assert count == len(special_reductions.fibers)
-    assert special_splitting(new) == list(new.special.type)
+    assert special_splitting(new) == splitting_type(new.special)
     assert len(special_reductions.reduced) == count
 
 
