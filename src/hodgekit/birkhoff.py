@@ -65,6 +65,15 @@ class P1Bundle:
             raise PreconditionError("transition determinant is not a unit")
         (self.det_exp, self.det_coeff), = det.terms.items()
 
+    @staticmethod
+    def _trusted(field, entries, det_exp, det_coeff):
+        """The bundle with transition ``entries`` whose determinant the
+        caller already knows: det_coeff z^det_exp, det_coeff nonzero."""
+        out = object.__new__(P1Bundle)
+        out.field, out.n, out.entries = field, len(entries), entries
+        out.det_exp, out.det_coeff = det_exp, det_coeff
+        return out
+
     @functools.cached_property
     def reduction(self):
         """(columns, d, log) of the column reduction, run on first use."""
@@ -90,11 +99,10 @@ def _column_reduce(cols, dd):
         if sum(deg) == dd:      # the leading coefficients are invertible
             break
         lead = [[cols[j][i].coeff(deg[j]) for j in range(n)] for i in range(n)]
-        kernel = linalg.nullspace(lead, field.one, field.zero)
-        if not kernel:
+        alpha = linalg.kernel_vector(lead, field.one, field.zero)
+        if alpha is None:
             raise InternalInvariantError(
                 "invertible leading coefficients above the determinant degree")
-        alpha = kernel[0]
         j = max((k for k in range(n) if not alpha[k].is_zero),
                 key=lambda k: deg[k])
         inv = alpha[j].inv()

@@ -297,10 +297,9 @@ def _langton(verb, data, seed):
 
 
 def _cert_json(cert):
-    return {"left": [[jsonio.laurentz_to_json(e, "ratfun_s") for e in row]
-                     for row in cert.left],
-            "right": [[jsonio.laurentz_to_json(e, "ratfun_s") for e in row]
-                      for row in cert.right]}
+    return {side: [[jsonio.laurentz_to_json(lg.to_laurentz(e), "ratfun_s")
+                    for e in row] for row in mat]
+            for side, mat in (("left", cert.left), ("right", cert.right))}
 
 
 HANDLERS = {
@@ -413,9 +412,66 @@ def main(argv=None):
     return code
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj):
+    """``json.dumps(obj, indent=2)``, byte for byte, for the wire types:
+    dict with str keys, list, tuple, str, int, bool and None.  Any other
+    value raises the ``TypeError`` that ``json.dumps`` raises for an
+    unknown type.  (The standard encoder takes its pure-Python path once
+    it indents.)"""
+    parts = []
+    put = parts.append
+
+    def encode(x, pad):
+        if isinstance(x, str):
+            put(_quote(x))
+        elif x is None:
+            put("null")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        elif isinstance(x, int):
+            put(int.__repr__(x))
+        elif isinstance(x, dict):
+            if not x:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, v in x.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(sep)
+                put(_quote(k))
+                put(": ")
+                encode(v, inner)
+                sep = "," + inner
+            put(pad + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for v in x:
+                put(sep)
+                encode(v, inner)
+                sep = "," + inner
+            put(pad + "]")
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} "
+                            "is not JSON serializable")
+
+    encode(obj, "\n")
+    return "".join(parts)
+
+
 def _emit(obj, out_path=None):
     # write the file first: a failed write then prints only the error
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    text = _dumps(obj)
     if out_path:
         try:
             with open(out_path, "w") as fh:

@@ -17,6 +17,19 @@ terminates with a balanced special fiber and never moves the generic one.
 Every step carries the pair (L, R) of fraction-field-invertible chart
 matrices with L T R = T', checkable by exact re-multiplication.
 
+A step multiplies only by chart matrices constant in s and by powers of
+s, so the family keeps one common denominator (Langton 1975): T = N / q
+with N a matrix of (z, s) ``LaurentPoly`` entries over Q(i), polynomial
+in s, and q(s) the monic lcm of the input denominators, q(0) != 0.  The
+step works on N alone: A0^(-1) and C0^(-1) are bivariate products,
+diag(s^(+-v)) shifts term exponents, and the new family is handed
+det N' = det N / det A0, where det A0 is the special fiber's constant
+determinant, so no determinant is expanded and no gcd is taken.  L and R
+lie in Q(i)[s^+-][z^+-] and need no denominator.  ``RatFunc`` appears only
+where a family enters (``DiskFamily(entries)``), in the normal-form
+``entries`` view and certificates written on output (``to_laurentz``),
+and in the K(s) fallback below.
+
 The precondition that the generic fiber is balanced is certified by
 specialisation: h0 is upper semicontinuous in s, so a balanced splitting
 type of the fiber at one regular point s0 forces the generic splitting
@@ -32,15 +45,68 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, InternalInvariantError
-from .scalars import Scalar
+from .scalars import Scalar, pdivmod, pgcd, pmul
 from . import linalg
 from .birkhoff import (P1Bundle, _inverse_frame, _reduced_frame,
                        splitting_type)
+from .laurent import LaurentPoly
 from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
+
+# the polynomial 1 in s, dense
+_ONE = (Scalar.one(),)
+
+
+def _lcm(a, b):
+    """Monic lcm of two monic polynomials."""
+    return tuple(pmul(a, pdivmod(b, pgcd(a, b))[0]))
+
+
+def _s_poly(p):
+    """The dense polynomial p(s) as a (z, s) ``LaurentPoly``."""
+    return LaurentPoly._trusted(2, {(0, j): c for j, c in enumerate(p)
+                                    if not c.is_zero})
+
+
+def _numerator(e, q):
+    """q * e for a ``LaurentZ`` e over K(s) whose denominators divide q,
+    as a (z, s) ``LaurentPoly``."""
+    terms = {}
+    for k, c in e.terms.items():
+        num = c.num
+        if c.den != q:
+            num = pmul(num, q if c.den == _ONE else pdivmod(q, c.den)[0])
+        terms.update(((k, j), x) for j, x in enumerate(num) if not x.is_zero)
+    return LaurentPoly._trusted(2, terms)
+
+
+def to_laurentz(x, den=_ONE):
+    """x / den(s) as a ``LaurentZ`` over K(s), x a (z, s) ``LaurentPoly``
+    and ``den`` a monic dense polynomial with den(0) != 0.
+
+    The coefficient of z^k is p(s) / (den(s) s^m) with p(0) != 0; over
+    den = 1 that is already the normal form of ``RatFunc``, so only a
+    non-constant ``den`` pays for a gcd.
+    """
+    by_z = {}
+    for (k, j), c in x.terms.items():
+        by_z.setdefault(k, {})[j] = c
+    zero, out = Scalar.zero(), {}
+    for k, coeffs in by_z.items():
+        base = min(min(coeffs), 0)
+        num = [coeffs.get(j, zero) for j in range(base, max(coeffs) + 1)]
+        sden = (zero,) * -base + _ONE
+        if den == _ONE:
+            out[k] = RatFunc._trusted(num, sden)
+        else:
+            out[k] = RatFunc(num, pmul(den, sden))
+    return LaurentZ(RATFUNC_S, out)
 
 
 class DiskFamily:
-    """n x n transition matrix over the s-regular rational functions."""
+    """n x n transition matrix T = N / q over the s-regular rational
+    functions: N has (z, s) ``LaurentPoly`` entries, polynomial in s, and
+    q(s) is one monic polynomial with q(0) != 0.  ``det`` is det N, a unit
+    in z."""
 
     def __init__(self, entries):
         n = len(entries)
@@ -48,31 +114,76 @@ class DiskFamily:
             raise PreconditionError("family matrix must have rank >= 1")
         if any(len(row) != n for row in entries):
             raise PreconditionError("family matrix must be square")
-        self.n = n
-        self.entries = [list(r) for r in entries]
-        if not all(c.regular_at_zero() for row in self.entries for e in row
-                   for c in e.terms.values()):
+        coeffs = [c for row in entries for e in row for c in e.terms.values()]
+        if not all(c.regular_at_zero() for c in coeffs):
             raise PreconditionError("family coefficients must be regular at s = 0")
-        det = linalg.det_ring(self.entries,
-                              LaurentZ.one(RATFUNC_S), LaurentZ.zero(RATFUNC_S))
-        if det.is_zero or not det.is_monomial():
+        q = _ONE
+        for c in coeffs:
+            if c.den != _ONE and c.den != q:
+                q = _lcm(q, c.den)
+        num = [[_numerator(e, q) for e in row] for row in entries]
+        det = linalg.det_ring(num, LaurentPoly.one(2), LaurentPoly.zero(2))
+        if det.is_zero or len({k for k, _ in det.terms}) != 1:
             raise PreconditionError("family determinant is not a unit in z")
-        (self.det_exp, self.det_coeff), = det.terms.items()
-        if not self.det_coeff.regular_at_zero() or \
-                self.det_coeff.eval(0).is_zero:
+        if not any(j == 0 for _, j in det.terms):
             raise PreconditionError("family determinant degenerates at s = 0")
+        self._set(num, q, det)
+
+    @staticmethod
+    def _trusted(num, q, det):
+        """The family num / q whose numerator determinant is ``det``."""
+        out = object.__new__(DiskFamily)
+        out._set(num, q, det)
+        return out
+
+    def _set(self, num, q, det):
+        self.n, self.num, self.q, self.det = len(num), num, q, det
+        self.det_exp = next(iter(det.terms))[0]
+
+    @functools.cached_property
+    def entries(self):
+        """T as a matrix of ``LaurentZ`` over K(s), in normal form."""
+        return [[to_laurentz(x, self.q) for x in row] for row in self.num]
 
     def fiber_at(self, s0) -> P1Bundle:
-        """The fiber over s = s0.
+        """The fiber over s = s0: N(z, s0) / q(s0), with determinant
+        (det N)(z, s0) / q(s0)^n.
 
-        Raises PreconditionError where a coefficient has a pole or the
-        determinant vanishes; neither happens at s = 0.
+        Raises PreconditionError where q has a root or the determinant
+        vanishes; neither happens at s = 0.
         """
         if not isinstance(s0, Scalar):
             s0 = Scalar.rational(s0)
-        fiber = [[e.map_coeffs(lambda c: c.eval(s0), SCALARS) for e in row]
-                 for row in self.entries]
-        return P1Bundle(SCALARS, fiber)
+        top = max(j for x in (self.det, *(x for row in self.num for x in row))
+                  for _, j in x.terms)
+        powers = [Scalar.one()]
+        for _ in range(max(top, len(self.q) - 1)):
+            powers.append(powers[-1] * s0)
+
+        def value(x):
+            """x(z, s0) as {z-exponent: value}, zeros included."""
+            acc = {}
+            for (k, j), c in x.terms.items():
+                if not powers[j].is_zero:
+                    term = c * powers[j]
+                    acc[k] = acc[k] + term if k in acc else term
+            return acc
+
+        qv = sum((c * p for c, p in zip(self.q, powers)), Scalar.zero())
+        if qv.is_zero:
+            raise PreconditionError(f"family has a pole at s = {s0}")
+        det = value(self.det).get(self.det_exp, Scalar.zero())
+        if det.is_zero:
+            raise PreconditionError("transition determinant is not a unit")
+        fiber = [[value(x) for x in row] for row in self.num]
+        if self.q != _ONE:
+            scale = qv.inv()
+            fiber = [[{k: c * scale for k, c in x.items()} for x in row]
+                     for row in fiber]
+            det = det * scale ** self.n
+        return P1Bundle._trusted(
+            SCALARS, [[LaurentZ(SCALARS, x) for x in row] for row in fiber],
+            self.det_exp, det)
 
     @functools.cached_property
     def special(self) -> P1Bundle:
@@ -88,20 +199,30 @@ class HNRecord:
 
 @dataclass(frozen=True)
 class StepCertificate:
-    """T' = L T R with L invertible over K[1/z] and R over K[z]."""
+    """T' = L T R with L invertible over K[1/z] and R over K[z]; the
+    entries of L and R are (z, s) ``LaurentPoly``, Laurent in s."""
 
     left: tuple
     right: tuple
 
     def verify(self, before: DiskFamily, after: DiskFamily) -> bool:
+        """L N R q' == N' q, products and comparison term by term."""
         lhs = linalg.mat_mul(linalg.mat_mul([list(r) for r in self.left],
-                                            before.entries),
+                                            before.num),
                              [list(r) for r in self.right])
-        return linalg.mat_eq(lhs, after.entries)
+        rhs = after.num
+        if before.q != after.q:
+            qa, qb = _s_poly(after.q), _s_poly(before.q)
+            lhs = [[x * qa for x in row] for row in lhs]
+            rhs = [[x * qb for x in row] for row in rhs]
+        return linalg.mat_eq(lhs, rhs)
 
 
 def generic_splitting(family: DiskFamily):
-    return splitting_type(P1Bundle(RATFUNC_S, family.entries))
+    """The splitting type over K(s); the scalar 1/q does not change it, so
+    N is reduced directly."""
+    return splitting_type(P1Bundle(RATFUNC_S, [[to_laurentz(x) for x in row]
+                                               for row in family.num]))
 
 
 def special_splitting(family: DiskFamily):
@@ -140,36 +261,29 @@ def _generic_balanced(family: DiskFamily) -> bool:
     return _is_balanced(generic_splitting(family))
 
 
-def _embed_scalar_matrix(mat):
-    return [[e.map_coeffs(lambda c: RatFunc([c]), RATFUNC_S) for e in row]
-            for row in mat]
+def _lift(mat):
+    """A matrix of ``LaurentZ`` over Q(i) as constant-in-s (z, s) entries."""
+    return [[LaurentPoly._trusted(2, {(k, 0): c for k, c in x.terms.items()})
+             for x in row] for row in mat]
 
 
 def _s_scaled(entries, row_exps, col_exps):
-    """diag(s^row_exps) * entries * diag(s^col_exps), with one power of s
-    per distinct exponent; entries scaled by s^0 are kept as they are."""
-    svar = RatFunc.var()
-    power = {k: svar ** k for k in {r + c for r in row_exps for c in col_exps}}
-    return [[e.map_coeffs(lambda x, f=power[r + c]: x * f, RATFUNC_S)
-             if r + c and not e.is_zero else e
+    """diag(s^row_exps) * entries * diag(s^col_exps): a shift of the
+    s-exponent of every term."""
+    return [[LaurentPoly._trusted(2, {(k, j + r + c): x
+                                      for (k, j), x in e.terms.items()})
+             if r + c else e
              for e, c in zip(row, col_exps)]
             for row, r in zip(entries, row_exps)]
 
 
-def _s_valuation(rf: RatFunc):
-    """Order of vanishing at s = 0 of a function regular there."""
-    for k, c in enumerate(rf.num):
-        if not c.is_zero:
-            return k
-    return None  # the zero function
-
-
 def _block_valuation(entries, delta):
-    """Least s-valuation over the (destabilizing, complement) block, None
-    when the block is zero (stored coefficients are never zero)."""
-    return min((_s_valuation(c) for i, di in enumerate(delta) if di
-                for j, dj in enumerate(delta) if not dj
-                for c in entries[i][j].terms.values()), default=None)
+    """Least s-exponent over the (destabilizing, complement) block, None
+    when the block is zero.  It is the s-valuation of the block of N / q,
+    since q(0) != 0."""
+    return min((j for i, di in enumerate(delta) if di
+                for k, dk in enumerate(delta) if not dk
+                for _, j in entries[i][k].terms), default=None)
 
 
 # modification passes allowed per step before giving up
@@ -214,9 +328,9 @@ def _step(family):
         if not any(delta) or all(delta):
             raise InternalInvariantError("destabilizing index set must be proper")
 
-        a0_inv = _embed_scalar_matrix(_inverse_frame(a0))
-        c0_inv = _embed_scalar_matrix(u)
-        t1 = linalg.mat_mul(linalg.mat_mul(a0_inv, current.entries), c0_inv)
+        a0_inv = _lift(_inverse_frame(a0))
+        c0_inv = _lift(u)
+        t1 = linalg.mat_mul(linalg.mat_mul(a0_inv, current.num), c0_inv)
         v = _block_valuation(t1, delta)
         if v is None or v < 1:
             raise InternalInvariantError(
@@ -228,7 +342,10 @@ def _step(family):
         right = _s_scaled(c0_inv, flat, vdelta)
         left_total = left if left_total is None else linalg.mat_mul(left, left_total)
         right_total = right if right_total is None else linalg.mat_mul(right_total, right)
-        current = DiskFamily(t2)  # regularity at s = 0 re-validated here
+        # det T' = det T / det A0, and det A0 is the special fiber's
+        # constant determinant (det D = z^det_exp, det U = 1)
+        current = DiskFamily._trusted(
+            t2, current.q, current.det.scale(current.special.det_coeff.inv()))
 
         new_type = tuple(special_splitting(current))
         if new_type == special_type:

@@ -7,6 +7,8 @@ vectors to ``Scalar``.  Units are exactly the single-term elements.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import PreconditionError
 from .scalars import Scalar, power
 
@@ -31,6 +33,14 @@ class LaurentPoly:
                 if clean[exp].is_zero:
                     del clean[exp]
         self.terms = clean
+
+    @staticmethod
+    def _trusted(rank, terms):
+        """Wrap a term dict already in normal form (int tuples of length
+        ``rank`` to nonzero ``Scalar``), skipping the re-validation."""
+        out = object.__new__(LaurentPoly)
+        out.rank, out.terms = rank, terms
+        return out
 
     # ---- constructors
 
@@ -83,7 +93,8 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.rank, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.rank == other.rank and self.key() == other.key()
+        # Scalar equality is by value, so the term dicts compare directly
+        return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
         return hash(self.key())
@@ -108,12 +119,13 @@ class LaurentPoly:
                 out.pop(exp, None)
             else:
                 out[exp] = acc
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._trusted(self.rank, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.rank, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.rank,
+                                    {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -126,14 +138,14 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = out.get(exp, Scalar.zero()) + prod
+                exp = tuple(map(add, e1, e2))
+                acc = out.get(exp)
+                acc = c1 * c2 if acc is None else acc + c1 * c2
                 if acc.is_zero:
                     out.pop(exp, None)
                 else:
                     out[exp] = acc
-        return LaurentPoly(self.rank, out)
+        return LaurentPoly._trusted(self.rank, out)
 
     __rmul__ = __mul__
 
@@ -145,7 +157,10 @@ class LaurentPoly:
     def scale(self, c):
         if not isinstance(c, Scalar):
             c = Scalar.rational(c)
-        return LaurentPoly(self.rank, {e: x * c for e, x in self.terms.items()})
+        if c.is_zero:
+            return LaurentPoly.zero(self.rank)
+        return LaurentPoly._trusted(self.rank,
+                                    {e: x * c for e, x in self.terms.items()})
 
     # ---- evaluation and substitution
 

@@ -2,13 +2,14 @@
 
 Matrices are plain lists of lists; a sparse system is a list of dicts
 {column: element}.  Every field routine reads one sparse elimination
-kernel: a forward pass, ``echelon``, that inverts each pivot once and
-scales its row by that inverse, and a back-substitution pass, ``rref``,
-to reduced row echelon form.  Three readers answer the questions asked
-of it: ``rank`` counts the pivots, ``nullspace`` reads the kernel and
-``solve`` reads X with m X = B off rref([m | B]); ``invert`` is
-``solve(m, I)``.  Field elements must support +, -, *, ``inv()``, unary
-minus, equality and an ``is_zero`` property; ``Scalar`` and ``RatFunc``
+kernel: a forward pass, ``echelon``, that inverts each pivot other than 1
+once and scales its row by that inverse, and a back-substitution pass,
+``rref``, to reduced row echelon form.  Three readers answer the
+questions asked of it: ``rank`` counts the pivots, ``nullspace`` reads
+the kernel (``kernel_vector`` only its first vector) and ``solve`` reads
+X with m X = B off rref([m | B]); ``invert`` is ``solve(m, I)``.  Field
+elements must support +, -, *, ``inv()``, unary minus, equality and the
+``is_zero`` and ``is_one`` properties; ``Scalar`` and ``RatFunc``
 qualify.  ``mat_mul``, ``det_ring`` and ``minors`` use ring operations
 only, so ``LaurentPoly`` entries work too; ``smith_normal_form`` is over Z.
 """
@@ -108,8 +109,10 @@ def echelon(rows, basis=None):
         row = dict(row)
         c = _reduce(row, basis)
         if c is not None:
-            inv = row[c].inv()
-            basis[c] = {k: v * inv for k, v in row.items()}
+            if not row[c].is_one:
+                inv = row[c].inv()
+                row = {k: v * inv for k, v in row.items()}
+            basis[c] = row
     return basis
 
 
@@ -144,6 +147,18 @@ def sparse_rank(rows) -> int:
     return len(echelon(rows))
 
 
+def _free_vector(basis, f, ncols, one, zero):
+    """The kernel vector with 1 in free column f and 0 in the other free
+    columns, read off a reduced row echelon ``basis``."""
+    vec = [zero] * ncols
+    vec[f] = one
+    for c, row in basis.items():
+        x = row.get(f)
+        if x is not None:
+            vec[c] = -x
+    return vec
+
+
 def sparse_nullspace(rows, ncols, one, zero):
     """Right-kernel basis of a sparse system over a field.
 
@@ -151,23 +166,22 @@ def sparse_nullspace(rows, ncols, one, zero):
     row echelon form.
     """
     basis = rref(echelon(rows))
-    out = []
-    for f in range(ncols):
-        if f in basis:
-            continue
-        vec = [zero] * ncols
-        vec[f] = one
-        for c, row in basis.items():
-            x = row.get(f)
-            if x is not None:
-                vec[c] = -x
-        out.append(vec)
-    return out
+    return [_free_vector(basis, f, ncols, one, zero)
+            for f in range(ncols) if f not in basis]
 
 
 def nullspace(m, one, zero):
     """Basis of the right kernel, as a list of column vectors (lists)."""
     return sparse_nullspace(_sparse(m), dims(m)[1], one, zero)
+
+
+def kernel_vector(m, one, zero):
+    """The first vector of ``nullspace(m)``, without building the others;
+    None when the kernel is zero."""
+    ncols = dims(m)[1]
+    basis = rref(echelon(_sparse(m)))
+    f = next((f for f in range(ncols) if f not in basis), None)
+    return None if f is None else _free_vector(basis, f, ncols, one, zero)
 
 
 def row_echelon(m):

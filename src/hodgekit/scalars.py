@@ -298,6 +298,12 @@ class Scalar:
             return bool(self._a or self._b)
         return any(self._coeffs)
 
+    @property
+    def is_one(self):
+        if self._order is None:
+            return self._a == self._d == 1 and not self._b
+        return self._coeffs[0] == 1 and not any(self._coeffs[1:])
+
     def is_rational(self):
         if self.is_gaussian:
             return not self._b

@@ -87,6 +87,10 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
+    @property
+    def is_one(self):
+        return len(self.num) == len(self.den) == 1 and self.num[0].is_one
+
     def __add__(self, other):
         other = _rf(other)
         if len(self.den) == 1 and len(other.den) == 1:
@@ -284,9 +288,6 @@ class LaurentZ:
 
     def shift(self, k):
         return LaurentZ(self.field, {e + k: c for e, c in self.terms.items()})
-
-    def map_coeffs(self, fn, field):
-        return LaurentZ(field, {e: fn(c) for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentZ):

@@ -6,6 +6,7 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekit import cli
 from hodgekit.errors import PreconditionError
@@ -554,3 +555,51 @@ def test_output_reparses():
     out = run_ok(["langton", "reduce", "--inline", FAMILY])
     fam = jsonio.family_from_json(out["family"])
     assert fam.n == 2
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.iterdir()), ids=lambda p: p.name)
+def test_emitter_matches_json_dumps_on_golden_output(path):
+    obj = json.loads(path.read_text())
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+    assert cli._dumps(obj) + "\n" == path.read_text()
+
+
+# wire trees: what the handlers return
+WIRE_SCALARS = (st.none() | st.booleans() | st.integers() | st.text())
+WIRE_TREES = st.recursive(
+    WIRE_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WIRE_TREES)
+def test_emitter_matches_json_dumps_on_wire_trees(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_emitter_edge_cases():
+    for obj in ({}, [], (), {"a": [], "b": {}}, [[[]]], -7, 0, "",
+                "\u00e9\u2603\U0001f600 \"q\" \\ \n\x00", {"\u00e9": -1}):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object(), b"x", 1.5, {"k": [1.5]},
+                                 {(1,): 2}, {1: 2}, {None: 2}])
+def test_emitter_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        cli._dumps(bad)
+
+
+def test_unencodable_result_exits_2(monkeypatch, capsys):
+    # json.dumps refuses a set with this TypeError too
+    monkeypatch.setattr(cli.linalg, "rank", lambda m: {1})
+    assert cli.main(["rings", "rank", "--inline", '{"matrix": [["1"]]}']) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "internal",
+        "reason": "TypeError: Object of type set is not JSON serializable"}

@@ -1,13 +1,18 @@
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 
-from hodgekit import langton, linalg
+from hodgekit import cli, jsonio, langton, linalg
 from hodgekit.birkhoff import splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.langton import (DiskFamily, generic_splitting, langton_reduce,
-                              langton_step, special_splitting)
-from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S
+                              langton_step, special_splitting, to_laurentz)
+from hodgekit.laurent import LaurentPoly
+from hodgekit.scalars import Scalar, pmul
+from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
 
 from conftest import lzs
 
@@ -337,3 +342,126 @@ def test_reduce_three_factor_families():
             assert cert.verify(current, new)
             current = new
         assert linalg.mat_eq(current.entries, out.entries)
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+# 1/(1+s) in one entry; q = (1+s)(2-s) from two entries; a numerator that
+# shares the factor 1+s with q, which the output must cancel
+DENOMINATOR_FIXTURES = ("langton_den_one.json", "langton_den_spread.json",
+                        "langton_den_cancel.json")
+
+
+def fixture_family(name):
+    return jsonio.family_from_json(
+        json.loads((FIXTURES / name).read_text())["family"])
+
+
+def walk(fam):
+    """(before, after, certificate) for each step of the reduction."""
+    out, current = [], fam
+    while not langton._is_balanced(special_splitting(current)):
+        new, cert, _ = langton_step(current)
+        out.append((current, new, cert))
+        current = new
+    return out
+
+
+def test_families_keep_one_common_denominator():
+    q = {name: fixture_family(name).q for name in DENOMINATOR_FIXTURES}
+    s = [str(c) for c in q["langton_den_spread.json"]]
+    assert [str(c) for c in q["langton_den_one.json"]] == ["1", "1"]
+    assert s == [str(c) for c in q["langton_den_cancel.json"]] == ["-2", "-1", "1"]
+    for name in DENOMINATOR_FIXTURES:
+        data = json.loads((FIXTURES / name).read_text())["family"]
+        fam = jsonio.family_from_json(data)
+        # the entries view gives back the input, in normal form
+        assert jsonio.family_to_json(fam) == data
+        for before, after, _ in walk(fam):
+            assert after.q == before.q
+            assert all(j >= 0 for row in after.num for x in row
+                       for _, j in x.terms)
+    # q has roots at s = -1 and s = 2: no fiber there
+    with pytest.raises(PreconditionError, match="pole at s = 2"):
+        fixture_family("langton_den_spread.json").fiber_at(2)
+
+
+def test_certificates_remultiply_in_both_forms():
+    fams = [fixture_family(name) for name in DENOMINATOR_FIXTURES]
+    fams += [chart_changed_family(seed) for seed in range(4)]
+    for fam in fams:
+        steps = walk(fam)
+        assert steps
+        for before, after, cert in steps:
+            assert cert.verify(before, after)
+            assert not cert.verify(before, before)
+            left = [[to_laurentz(x) for x in row] for row in cert.left]
+            right = [[to_laurentz(x) for x in row] for row in cert.right]
+            assert linalg.mat_eq(
+                linalg.mat_mul(linalg.mat_mul(left, before.entries), right),
+                after.entries)
+            # the same T' over another denominator: (N (3 + s)) / (q (3 + s))
+            f = [Scalar.rational(3), Scalar.one()]
+            fpoly = langton._s_poly(f)
+            rescaled = DiskFamily._trusted(
+                [[x * fpoly for x in row] for row in after.num],
+                tuple(pmul(list(after.q), f)), after.det * fpoly ** after.n)
+            assert rescaled.entries == after.entries
+            assert cert.verify(before, rescaled)
+            assert not cert.verify(rescaled, rescaled)
+
+
+def test_step_hands_over_the_determinant(monkeypatch):
+    calls = []
+    real = linalg.det_ring
+
+    def counted(m, one, zero):
+        calls.append(m)
+        return real(m, one, zero)
+    fams = [fixture_family(name) for name in DENOMINATOR_FIXTURES]
+    fams += [chart_changed_family(seed) for seed in range(4)]
+    for fam in fams:
+        steps = walk(fam)
+        for before, after, _ in steps:
+            # det_ring only as the oracle: det N', and det T' = det N' / q^n
+            assert after.det == real(after.num, LaurentPoly.one(2),
+                                     LaurentPoly.zero(2))
+            qn = [Scalar.one()]
+            for _ in range(after.n):
+                qn = pmul(qn, list(after.q))
+            det_t = real(after.entries, LaurentZ.one(RATFUNC_S),
+                         LaurentZ.zero(RATFUNC_S))
+            assert det_t == to_laurentz(after.det, tuple(qn))
+        # each fiber's bundle gets (det N)(s0) / q(s0)^n handed in
+        for family in (fam, steps[-1][1]):
+            for s0 in (0, 1, 3):
+                fiber = family.fiber_at(s0)
+                det = real(fiber.entries, LaurentZ.one(SCALARS),
+                           LaurentZ.zero(SCALARS))
+                assert det == LaurentZ(SCALARS, {fiber.det_exp: fiber.det_coeff})
+    monkeypatch.setattr(linalg, "det_ring", counted)
+    for fam in fams:
+        out, _, certs = langton_reduce(fam)
+        assert certs
+    # no determinant is expanded once the input family is built
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["langton_gap2.json", "langton_gap4.json"])
+def test_reduce_runs_no_gcd(name, monkeypatch, capsys):
+    # every module that binds scalars.pgcd, univariate and langton included
+    from hodgekit import scalars
+    calls = []
+    real = scalars.pgcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    patched = [mod for mod in list(sys.modules)
+               if mod.startswith("hodgekit")
+               and getattr(sys.modules[mod], "pgcd", None) is real]
+    for mod in patched:
+        monkeypatch.setattr(sys.modules[mod], "pgcd", counted)
+    assert {"hodgekit.scalars", "hodgekit.univariate"} <= set(patched)
+    assert cli.main(["langton", "reduce", "--input", str(FIXTURES / name)]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] >= 1
+    assert calls == []

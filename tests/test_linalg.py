@@ -69,7 +69,27 @@ def test_sparse_nullspace_property(rng):
         assert len(kern) == ncols - linalg.sparse_rank(rows)
         dense = [[row.get(c, ZERO) for c in range(ncols)] for row in rows]
         assert kern == linalg.nullspace(dense, ONE, ZERO)
+        assert linalg.kernel_vector(dense, ONE, ZERO) == (kern[0] if kern else None)
         assert linalg.rank(dense) == linalg.sparse_rank(rows)
+
+
+def test_echelon_inverts_only_pivots_other_than_one(monkeypatch):
+    from hodgekit.univariate import RatFunc
+    assert ONE.is_one and (Scalar.zeta(5) ** 5).is_one and RatFunc([1]).is_one
+    assert not any(x.is_one for x in (ZERO, Scalar.i(), Scalar.rational(-1),
+                                      Scalar.zeta(5), RatFunc([1, 1]),
+                                      RatFunc([1], [0, 1])))
+    calls = []
+    real = Scalar.inv
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+    monkeypatch.setattr(Scalar, "inv", counted)
+    two, three = Scalar.rational(2), Scalar.rational(3)
+    basis = linalg.echelon([{0: ONE, 2: three}, {1: two, 2: ONE}])
+    assert basis == {0: {0: ONE, 2: three}, 1: {1: ONE, 2: ONE / two}}
+    assert calls == [two]
 
 
 def test_invert_solve_and_row_echelon(rng):
