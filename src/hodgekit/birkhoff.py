@@ -5,6 +5,15 @@ standard charts; the determinant must be a unit (nonzero constant times a
 power of z).  Convention, fixed here and inherited everywhere else: the
 line bundle O(a) has the 1x1 transition z^(-a), so h0(O(a)) = max(0, a+1).
 
+The constructor checks the unit determinant by expanding it, an O(2^n n)
+column-subset sum, and keeps only its exponent.  Three constructions fix
+the determinant themselves and hand the exponent to ``P1Bundle._trusted``:
+the Rees gluing diag(z^-q) C diag(z^-p) with C invertible (exponent
+-(sum p + sum q)), the twistor bundle z^-1 (-i conj J_m) (exponent -n) and
+the fibers N(z, s0) / q(s0) of a Langton disk family (the family's own
+exponent).  Bundles read from input, and those handed to
+``invert_unimodular``, keep the check.
+
 The splitting type comes from column reduction (Grothendieck 1957;
 Wolovich 1974).  Let d_j be the top z-exponent of column j and L the matrix
 of the z^(d_j) coefficients.  While L is singular, a kernel vector alpha
@@ -48,9 +57,42 @@ def _top_exp(vec):
 
 
 class P1Bundle:
-    """Rank-n bundle on P^1 via an n x n Laurent transition matrix."""
+    """Rank-n bundle on P^1 via an n x n Laurent transition matrix.
+
+    The constructor expands det G once (``linalg.det_ring``) to check that
+    it is a unit and keeps only its exponent ``det_exp``; bundles whose
+    construction fixes the determinant come from ``_trusted`` instead.
+    """
 
     def __init__(self, field: Field, entries):
+        self._shape(field, entries)
+        det = linalg.det_ring(self.entries,
+                              LaurentZ.one(field), LaurentZ.zero(field))
+        if det.is_zero or not det.is_monomial():
+            raise PreconditionError("transition determinant is not a unit")
+        self.det_exp = next(iter(det.terms))
+
+    @staticmethod
+    def _trusted(field, entries, det_exp):
+        """The bundle with transition ``entries`` whose determinant the
+        construction fixes as a nonzero constant times z^det_exp; no
+        determinant is expanded.  The three constructions that hand one in:
+
+        * ``rees.rees_p1``: G = diag(z^-q) C diag(z^-p), with C = U^(-1) V
+          invertible because ``solve`` found U X = V consistent for a basis
+          V, so det_exp = -(sum(p) + sum(q));
+        * ``twistor.twistor_bundle``: G = z^-1 (-i conj J_m), invertible
+          because J_m conj(J_m) = -1, so det_exp = -n;
+        * ``langton.DiskFamily.fiber_at``: N(z, s0) / q(s0), whose
+          determinant (det N)(z, s0) / q(s0)^n it checks to be nonzero, at
+          the family's det_exp.
+        """
+        out = object.__new__(P1Bundle)
+        out._shape(field, entries)
+        out.det_exp = det_exp
+        return out
+
+    def _shape(self, field, entries):
         n = len(entries)
         if n == 0:
             raise PreconditionError("transition matrix must have rank >= 1")
@@ -59,20 +101,6 @@ class P1Bundle:
         self.field = field
         self.n = n
         self.entries = [list(r) for r in entries]
-        det = linalg.det_ring(self.entries,
-                              LaurentZ.one(field), LaurentZ.zero(field))
-        if det.is_zero or not det.is_monomial():
-            raise PreconditionError("transition determinant is not a unit")
-        (self.det_exp, self.det_coeff), = det.terms.items()
-
-    @staticmethod
-    def _trusted(field, entries, det_exp, det_coeff):
-        """The bundle with transition ``entries`` whose determinant the
-        caller already knows: det_coeff z^det_exp, det_coeff nonzero."""
-        out = object.__new__(P1Bundle)
-        out.field, out.n, out.entries = field, len(entries), entries
-        out.det_exp, out.det_coeff = det_exp, det_coeff
-        return out
 
     @functools.cached_property
     def reduction(self):

@@ -23,12 +23,13 @@ with N a matrix of (z, s) ``LaurentPoly`` entries over Q(i), polynomial
 in s, and q(s) the monic lcm of the input denominators, q(0) != 0.  The
 step works on N alone: A0^(-1) and C0^(-1) are bivariate products,
 diag(s^(+-v)) shifts term exponents, and the new family is handed
-det N' = det N / det A0, where det A0 is the special fiber's constant
-determinant, so no determinant is expanded and no gcd is taken.  L and R
-lie in Q(i)[s^+-][z^+-] and need no denominator.  ``RatFunc`` appears only
-where a family enters (``DiskFamily(entries)``), in the normal-form
-``entries`` view and certificates written on output (``to_laurentz``),
-and in the K(s) fallback below.
+det N' = det N / det A0, where det A0, the special fiber's constant
+determinant, is the z^det_exp s^0 coefficient of det N over q(0)^n, so
+no determinant is expanded and no gcd is taken.  L and R lie in
+Q(i)[s^+-][z^+-] and need no denominator.  ``RatFunc`` appears only where
+a family enters (``DiskFamily(entries)``), in the normal-form ``entries``
+view and certificates written on output (``to_laurentz``), and in the
+K(s) fallback below.
 
 The precondition that the generic fiber is balanced is certified by
 specialisation: h0 is upper semicontinuous in s, so a balanced splitting
@@ -172,18 +173,17 @@ class DiskFamily:
         qv = sum((c * p for c, p in zip(self.q, powers)), Scalar.zero())
         if qv.is_zero:
             raise PreconditionError(f"family has a pole at s = {s0}")
-        det = value(self.det).get(self.det_exp, Scalar.zero())
-        if det.is_zero:
+        if value(self.det).get(self.det_exp, Scalar.zero()).is_zero:
             raise PreconditionError("transition determinant is not a unit")
         fiber = [[value(x) for x in row] for row in self.num]
         if self.q != _ONE:
             scale = qv.inv()
             fiber = [[{k: c * scale for k, c in x.items()} for x in row]
                      for row in fiber]
-            det = det * scale ** self.n
+        # det = (det N)(z, s0) / q(s0)^n, nonzero at z^det_exp as just checked
         return P1Bundle._trusted(
             SCALARS, [[LaurentZ(SCALARS, x) for x in row] for row in fiber],
-            self.det_exp, det)
+            self.det_exp)
 
     @functools.cached_property
     def special(self) -> P1Bundle:
@@ -343,9 +343,11 @@ def _step(family):
         left_total = left if left_total is None else linalg.mat_mul(left, left_total)
         right_total = right if right_total is None else linalg.mat_mul(right_total, right)
         # det T' = det T / det A0, and det A0 is the special fiber's
-        # constant determinant (det D = z^det_exp, det U = 1)
-        current = DiskFamily._trusted(
-            t2, current.q, current.det.scale(current.special.det_coeff.inv()))
+        # constant determinant (det D = z^det_exp, det U = 1): the
+        # z^det_exp s^0 coefficient of det N over q(0)^n
+        a0_det = current.det.terms[(current.det_exp, 0)] / current.q[0] ** n
+        current = DiskFamily._trusted(t2, current.q,
+                                      current.det.scale(a0_det.inv()))
 
         new_type = tuple(special_splitting(current))
         if new_type == special_type:

@@ -218,7 +218,8 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
         [LaurentZ(SCALARS, {-(q[i] + p[j]): cinv[i][j]}) for j in range(n)]
         for i in range(n)
     ]
-    bundle = P1Bundle(SCALARS, entries)
+    # det G = det C z^-(sum p + sum q), C invertible by the solve above
+    bundle = P1Bundle._trusted(SCALARS, entries, -(sum(p) + sum(q)))
     exps = splitting_type(bundle)
     pure = all(e == exps[0] for e in exps)
     report = PurityReport(splitting=tuple(exps), pure=pure,

@@ -540,53 +540,54 @@ def conj(s: Scalar) -> Scalar:
 #    imaginary values like "11/2*i" would be ambiguous.
 
 _FULL_RX = _re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)\s*"
-    r"(?P<im>[+-]\s*(?:\d+(?:/\d+)?\s*\*\s*)?i)?\s*$")
+    r"^\s*(?P<rs>[+-]?)(?P<rn>\d+)(?:/(?P<rd>\d+))?\s*"
+    r"(?:(?P<is>[+-])\s*(?:(?P<in>\d+)(?:/(?P<id>\d+))?\s*\*\s*)?i)?\s*$")
 _IMAG_RX = _re.compile(
-    r"^\s*(?P<im>[+-]?\s*(?:\d+(?:/\d+)?\s*\*\s*)?i)\s*$")
+    r"^\s*(?P<is>[+-]?)\s*(?:(?P<in>\d+)(?:/(?P<id>\d+))?\s*\*\s*)?i\s*$")
+
+
+def _ratio_text(n, d):
+    """n/d in lowest terms as ``str(Fraction(n, d))`` writes it, d > 0."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_scalar(s: Scalar) -> str:
     if s.is_gaussian:
-        re_, im_ = s.re, s.im
-        if re_ == 0 and im_ == 0:
+        a, b, d = s._a, s._b, s._d
+        if not a and not b:
             return "0"
         parts = []
-        if re_ != 0:
-            parts.append(str(re_))
-        if im_ != 0:
-            imtxt = f"{im_}*i" if im_ > 0 else f"-{-im_}*i"
-            if parts and im_ > 0:
-                parts.append("+" + imtxt)
-            else:
-                parts.append(imtxt)
+        if a:
+            parts.append(_ratio_text(a, d))
+        if b:
+            imtxt = _ratio_text(b, d) + "*i"
+            parts.append("+" + imtxt if parts and b > 0 else imtxt)
         return "".join(parts)
     return "cyclotomic(%d;%s)" % (s.order, ",".join(str(c) for c in s.coeffs))
 
 
-def _imag_value(imtxt):
-    body = imtxt.replace(" ", "")[:-1]  # strip the trailing i
-    sign = 1
-    if body.startswith("+"):
-        body = body[1:]
-    elif body.startswith("-"):
-        sign, body = -1, body[1:]
-    if body.endswith("*"):
-        body = body[:-1]
-    return sign * (Fraction(body) if body else Fraction(1))
+def _signed_ratio(m, sign, num, den):
+    """(n, d) for the ratio in the named groups of match ``m``; a missing
+    numerator or denominator reads 1 (the coefficient of a bare i)."""
+    n, d = int(m.group(num) or 1), int(m.group(den) or 1)
+    return (-n if m.group(sign) == "-" else n), d
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the gaussian string form "a/b+c/d*i" (either part omittable)."""
-    try:
-        m = _IMAG_RX.match(text)
-        if m:
-            return Scalar.gaussian(Fraction(0), _imag_value(m.group("im")))
+    m = _IMAG_RX.match(text)
+    if m:
+        (a, ad), (b, bd) = (0, 1), _signed_ratio(m, "is", "in", "id")
+    else:
         m = _FULL_RX.match(text)
         if not m:
             raise PreconditionError(f"cannot parse scalar {text!r}")
-        re_ = Fraction(m.group("re"))
-        im_ = _imag_value(m.group("im")) if m.group("im") else Fraction(0)
-        return Scalar.gaussian(re_, im_)
-    except ZeroDivisionError:
-        raise PreconditionError(f"zero denominator in scalar {text!r}") from None
+        a, ad = _signed_ratio(m, "rs", "rn", "rd")
+        b, bd = _signed_ratio(m, "is", "in", "id") if m.group("is") else (0, 1)
+    if not ad or not bd:
+        raise PreconditionError(f"zero denominator in scalar {text!r}")
+    return _gauss(a * bd, b * ad, ad * bd)

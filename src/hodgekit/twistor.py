@@ -288,7 +288,8 @@ def twistor_bundle(qs: QuaternionicSpace) -> P1Bundle:
     minus_i = -Scalar.i()
     entries = [[LaurentZ(SCALARS, {-1: minus_i * qs.jm[i][j].conj()})
                 for j in range(n)] for i in range(n)]
-    return P1Bundle(SCALARS, entries)
+    # det G = det(-i conj J_m) z^-n, and J_m conj(J_m) = -1 makes J_m invertible
+    return P1Bundle._trusted(SCALARS, entries, -n)
 
 
 # -- quadratic maps equivariant for the structures ------------------------

@@ -431,13 +431,20 @@ def test_step_hands_over_the_determinant(monkeypatch):
             det_t = real(after.entries, LaurentZ.one(RATFUNC_S),
                          LaurentZ.zero(RATFUNC_S))
             assert det_t == to_laurentz(after.det, tuple(qn))
-        # each fiber's bundle gets (det N)(s0) / q(s0)^n handed in
+        # each fiber's determinant is z^det_exp (det N)(s0) / q(s0)^n
         for family in (fam, steps[-1][1]):
             for s0 in (0, 1, 3):
                 fiber = family.fiber_at(s0)
                 det = real(fiber.entries, LaurentZ.one(SCALARS),
                            LaurentZ.zero(SCALARS))
-                assert det == LaurentZ(SCALARS, {fiber.det_exp: fiber.det_coeff})
+                s = Scalar.rational(s0)
+                det_n = sum((c * s ** j for (_, j), c in family.det.terms.items()),
+                            Scalar.zero())
+                qv = sum((c * s ** j for j, c in enumerate(family.q)),
+                         Scalar.zero())
+                assert fiber.det_exp == family.det_exp
+                assert det == LaurentZ(SCALARS,
+                                       {family.det_exp: det_n / qv ** family.n})
     monkeypatch.setattr(linalg, "det_ring", counted)
     for fam in fams:
         out, _, certs = langton_reduce(fam)

@@ -270,3 +270,47 @@ def test_rees_glue_singular_pairing_exits_1(capsys):
     assert cli.main(["rees", "glue", "--inline", json.dumps(data)]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "error": {"kind": "precondition", "reason": "matrix is singular"}}
+
+
+def seeded_glue_cases(rng, count):
+    """(F, Fbar, pairing) triples of equal dimension; every other one has a
+    random invertible antilinear pairing."""
+    cases = []
+    while len(cases) < count:
+        fs = random_filtration(rng, max_dim=5, max_len=4)
+        gs = random_filtration(rng, max_dim=5, max_len=4)
+        if fs.n != gs.n:
+            continue
+        pairing = None
+        if len(cases) % 2:
+            pairing = [[random_scalar(rng, 2) for _ in range(fs.n)]
+                       for _ in range(fs.n)]
+            if linalg.rank(pairing) < fs.n:
+                continue
+        cases.append((fs, gs, pairing))
+    return cases
+
+
+def test_rees_p1_hands_over_the_determinant(rng, monkeypatch):
+    cases = seeded_glue_cases(rng, 16)
+    real = linalg.det_ring
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(linalg, "det_ring", counted)
+    bundles = [rees_p1(fs, gs, pairing)[0] for fs, gs, pairing in cases]
+    # the gluing expands no determinant, and a singular one still refuses
+    filt = FilteredSpace(2, {0: [basis_vec(0, 2), basis_vec(1, 2)],
+                             1: [basis_vec(0, 2)]})
+    with pytest.raises(PreconditionError, match="^matrix is singular$"):
+        rees_p1(filt, filt, pairing=[[ONE, ONE], [sc(2), sc(2)]])
+    assert calls == []
+    # det_ring as the oracle: det G is a unit at the exponent handed in
+    for (fs, gs, _), bundle in zip(cases, bundles):
+        det = real(bundle.entries, LaurentZ.one(SCALARS), LaurentZ.zero(SCALARS))
+        assert det.is_monomial() and not det.is_zero
+        assert next(iter(det.terms)) == bundle.det_exp
+        assert bundle.det_exp == -(sum(build_rees(fs).weights)
+                                   + sum(build_rees(gs).weights))

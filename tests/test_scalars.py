@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,73 @@ def test_parse_garbage():
     for bad in ("", "x", "1//2", "2i3"):
         with pytest.raises(PreconditionError):
             parse_scalar(bad)
+
+
+# -- Fraction reference for the text form
+
+def ref_format(re_, im_):
+    if re_ == 0 and im_ == 0:
+        return "0"
+    parts = [str(re_)] if re_ != 0 else []
+    if im_ != 0:
+        parts.append(("+" if parts and im_ > 0 else "") + f"{im_}*i")
+    return "".join(parts)
+
+
+def ref_parse(text):
+    """(re, im) as Fractions: the real part before the sign that starts
+    the imaginary part, whitespace dropped."""
+    body = "".join(text.split())
+    if not body.endswith("i"):
+        return Fraction(body), Fraction(0)
+    body = body[:-1].rstrip("*")
+    cut = max(body.rfind("+"), body.rfind("-"))
+    re_ = Fraction(body[:cut]) if cut > 0 else Fraction(0)
+    sign, coeff = (body[cut], body[cut + 1:]) if cut >= 0 else ("+", body)
+    im_ = Fraction(coeff) if coeff else Fraction(1)
+    return re_, -im_ if sign == "-" else im_
+
+
+def random_text(rng):
+    """A gaussian in text form: random signs, non-reduced ratios, bare
+    i, omitted parts and whitespace wherever the grammar allows it."""
+    def gap():
+        return rng.choice(["", "", " ", "  ", "\t", " \n"])
+
+    def ratio():
+        n, d, k = rng.randint(0, 12), rng.randint(1, 9), rng.randint(1, 4)
+        return f"{n * k}/{d * k}" if rng.random() < 0.6 else str(n)
+    real = rng.choice(["", "-", "+"]) + ratio()
+    sign = rng.choice(["+", "-"])
+    coeff = rng.choice(["", "", ratio() + gap() + "*" + gap()])
+    shape = rng.randrange(3)
+    if shape == 0:
+        return gap() + real + gap()
+    if shape == 1:
+        return gap() + rng.choice(["", sign]) + gap() + coeff + "i" + gap()
+    return gap() + real + gap() + sign + gap() + coeff + "i" + gap()
+
+
+def test_text_codec_matches_fraction_reference():
+    rng = random.Random(6133)
+    texts = ["0", "-0", "i", "-i", "+i", "3/4*i", "-3/4*i", "4/6", "-4/6",
+             "4/6+6/9*i", "1 - i", "0+0*i", "0-3*i", "5+0*i", " 7/1 ",
+             "2/4 *\ti", "\n+ 8/12 * i"]
+    texts += [random_text(rng) for _ in range(2000)]
+    for text in texts:
+        re_, im_ = ref_parse(text)
+        value = parse_scalar(text)
+        assert_canonical(value)
+        assert (value.re, value.im) == (re_, im_), text
+        assert format_scalar(value) == ref_format(re_, im_), text
+        assert parse_scalar(format_scalar(value)) == value
+    for text in ("1/0", "3/0*i", "1+2/0*i", "-0/0"):
+        with pytest.raises(PreconditionError,
+                           match=r"^zero denominator in scalar '"):
+            parse_scalar(text)
+    for text in ("1/", "1 / 2", "ii", "1+*i", "2*", "i+1", "1+2", "--1"):
+        with pytest.raises(PreconditionError, match=r"^cannot parse scalar '"):
+            parse_scalar(text)
 
 
 @given(wide_gaussians, wide_gaussians)

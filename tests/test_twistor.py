@@ -279,3 +279,24 @@ def test_invariant_section_solves_instead_of_inverting(forbid_inverse):
     forbid_inverse.forbid()
     for qs, v, lam0, want in cases:
         assert list(invariant_section_through(qs, v, lam0).a) == want
+
+
+def test_twistor_bundle_hands_over_the_determinant(monkeypatch):
+    rng = random.Random(405)
+    spaces = [QuaternionicSpace.standard(r) for r in (1, 2, 3)]
+    spaces += [random_quaternionic(rng, 1 + k % 3) for k in range(6)]
+    real = linalg.det_ring
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(linalg, "det_ring", counted)
+    bundles = [twistor_bundle(qs) for qs in spaces]
+    assert calls == []
+    # det_ring as the oracle: det G = det(-i conj J_m) z^-n, a unit
+    for qs, b in zip(spaces, bundles):
+        det = real(b.entries, LaurentZ.one(SCALARS), LaurentZ.zero(SCALARS))
+        assert det.is_monomial() and not det.is_zero
+        assert b.det_exp == next(iter(det.terms)) == -qs.dim
+        assert splitting_type(b) == [1] * qs.dim
