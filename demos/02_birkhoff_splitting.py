@@ -7,16 +7,16 @@
 # as a certificate.
 
 # %%
-from hodgekit import (P1Bundle, SCALARS, LaurentZ, Scalar,
+from hodgekit import (P1Bundle, SCALARS, LaurentPoly,
                       factorization_certificate, h0_twist, splitting_type)
 from hodgekit import linalg
 
 
 def lz(d):
-    return LaurentZ(SCALARS, {k: Scalar.rational(c) for k, c in d.items()})
+    return LaurentPoly(1, {(k,): c for k, c in d.items()})
 
 
-Z0 = LaurentZ.zero(SCALARS)
+Z0 = LaurentPoly.zero(1)
 
 # %% the convention: O(a) is the 1x1 transition z^(-a)
 print("h0(O(1)) =", h0_twist(P1Bundle(SCALARS, [[lz({-1: 1})]]), 0))
@@ -37,7 +37,7 @@ amat, dmat, cmat = factorization_certificate(g)
 recon = linalg.mat_mul(linalg.mat_mul(amat, dmat), cmat)
 print("A D C == G:", linalg.mat_eq(recon, g.entries))
 print("D diagonal exponents:",
-      [next(iter(dmat[k][k].terms)) for k in range(2)])
+      [next(iter(dmat[k][k].terms))[0] for k in range(2)])
 
 # %% a scrambled diagonal still reports its hidden exponents
 scramble = P1Bundle(SCALARS, [

@@ -10,10 +10,9 @@
 # %%
 from fractions import Fraction
 
-from hodgekit import (Arc, LaurentZ, ProjPoint, SCALARS, Scalar,
-                      WeightedAction, choose_gauge, decompose,
-                      invariant_monomials, limit0, limitinf, membership,
-                      newton_limits, orbit_equivalent)
+from hodgekit import (Arc, LaurentPoly, ProjPoint, WeightedAction,
+                      choose_gauge, decompose, invariant_monomials, limit0,
+                      limitinf, membership, newton_limits, orbit_equivalent)
 
 action = WeightedAction([0, 1, 2], Fraction(-1, 2))
 print("fixed components:",
@@ -43,7 +42,7 @@ print("[1:1:1] ~ [1:1:2]:", orbit_equivalent(action, ProjPoint([1, 1, 1]),
 
 
 def lz(d):
-    return LaurentZ(SCALARS, {k: Scalar.rational(v) for k, v in d.items()})
+    return LaurentPoly(1, {(k,): v for k, v in d.items()})
 
 
 arc = Arc([lz({0: 1}), lz({1: 1}), lz({3: 1})])

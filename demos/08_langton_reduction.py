@@ -7,17 +7,17 @@
 # retained and re-multiplied as a correctness certificate.
 
 # %%
-from hodgekit import (DiskFamily, LaurentZ, RATFUNC_S, RatFunc,
+from hodgekit import (DiskFamily, LaurentPoly, RatFunc,
                       generic_splitting, langton_reduce, langton_step,
                       special_splitting)
 
 one = RatFunc([1])
 s = RatFunc.var()
-Z0 = LaurentZ.zero(RATFUNC_S)
+Z0 = LaurentPoly.zero(1)
 
 
 def lz(d):
-    return LaurentZ(RATFUNC_S, d)
+    return LaurentPoly(1, {(k,): c for k, c in d.items()})
 
 
 family = DiskFamily([[lz({1: one}), lz({0: s})], [Z0, lz({-1: one})]])

@@ -1,18 +1,20 @@
 """Splitting types of algebraic vector bundles on the projective line.
 
 A bundle is presented by its transition matrix G(z) between the two
-standard charts; the determinant must be a unit (nonzero constant times a
-power of z).  Convention, fixed here and inherited everywhere else: the
-line bundle O(a) has the 1x1 transition z^(-a), so h0(O(a)) = max(0, a+1).
+standard charts, rank-1 ``LaurentPoly`` entries in z over a ``Field``
+(``SCALARS`` or ``RATFUNC_S``); the determinant must be a unit (nonzero
+constant times a power of z).  Convention, fixed here and inherited
+everywhere else: the line bundle O(a) has the 1x1 transition z^(-a), so
+h0(O(a)) = max(0, a+1).
 
 The constructor checks the unit determinant by expanding it, an O(2^n n)
-column-subset sum, and keeps only its exponent.  Three constructions fix
+column-subset sum, and keeps only its exponent.  Four constructions fix
 the determinant themselves and hand the exponent to ``P1Bundle._trusted``:
 the Rees gluing diag(z^-q) C diag(z^-p) with C invertible (exponent
--(sum p + sum q)), the twistor bundle z^-1 (-i conj J_m) (exponent -n) and
-the fibers N(z, s0) / q(s0) of a Langton disk family (the family's own
-exponent).  Bundles read from input, and those handed to
-``invert_unimodular``, keep the check.
+-(sum p + sum q)), the twistor bundle z^-1 (-i conj J_m) (exponent -n),
+the fibers N(z, s0) / q(s0) of a Langton disk family and its numerator N
+over K(s) (the family's own exponent).  Bundles read from input, and those
+handed to ``invert_unimodular``, keep the check.
 
 The splitting type comes from column reduction (Grothendieck 1957;
 Wolovich 1974).  Let d_j be the top z-exponent of column j and L the matrix
@@ -48,12 +50,13 @@ import functools
 
 from .errors import PreconditionError, InternalInvariantError
 from . import linalg
-from .univariate import Field, LaurentZ
+from .laurent import LaurentPoly
+from .univariate import Field
 
 
 def _top_exp(vec):
     """Largest z-exponent among the nonzero entries of ``vec``."""
-    return max(e.max_exp() for e in vec if not e.is_zero)
+    return max(max(x.terms) for x in vec if x.terms)[0]
 
 
 class P1Bundle:
@@ -66,17 +69,17 @@ class P1Bundle:
 
     def __init__(self, field: Field, entries):
         self._shape(field, entries)
-        det = linalg.det_ring(self.entries,
-                              LaurentZ.one(field), LaurentZ.zero(field))
-        if det.is_zero or not det.is_monomial():
+        det = linalg.det_ring(self.entries, LaurentPoly.constant(1, field.one),
+                              LaurentPoly.zero(1))
+        if not det.is_unit:
             raise PreconditionError("transition determinant is not a unit")
-        self.det_exp = next(iter(det.terms))
+        self.det_exp = next(iter(det.terms))[0]
 
     @staticmethod
     def _trusted(field, entries, det_exp):
         """The bundle with transition ``entries`` whose determinant the
         construction fixes as a nonzero constant times z^det_exp; no
-        determinant is expanded.  The three constructions that hand one in:
+        determinant is expanded.  The four constructions that hand one in:
 
         * ``rees.rees_p1``: G = diag(z^-q) C diag(z^-p), with C = U^(-1) V
           invertible because ``solve`` found U X = V consistent for a basis
@@ -85,7 +88,10 @@ class P1Bundle:
           because J_m conj(J_m) = -1, so det_exp = -n;
         * ``langton.DiskFamily.fiber_at``: N(z, s0) / q(s0), whose
           determinant (det N)(z, s0) / q(s0)^n it checks to be nonzero, at
-          the family's det_exp.
+          the family's det_exp;
+        * ``langton.generic_splitting``: the numerator N over K(s), whose
+          determinant det N = c(s) z^det_exp with c != 0, checked when the
+          family was built, is a unit over K(s).
         """
         out = object.__new__(P1Bundle)
         out._shape(field, entries)
@@ -105,29 +111,30 @@ class P1Bundle:
     @functools.cached_property
     def reduction(self):
         """(columns, d, log) of the column reduction, run on first use."""
-        return _column_reduce(list(zip(*self.entries)), self.det_exp)
+        return _column_reduce(self.field, list(zip(*self.entries)), self.det_exp)
 
     def __repr__(self):
         return f"P1Bundle(n={self.n}, det=z^{self.det_exp})"
 
 
-def _column_reduce(cols, dd):
-    """Column reduction (see the module docstring) of the matrix with
-    columns ``cols`` and determinant degree ``dd``.
+def _column_reduce(field, cols, dd):
+    """Column reduction (see the module docstring) of the matrix over
+    ``field`` with columns ``cols`` and determinant degree ``dd``.
 
     Returns the reduced columns, their top exponents d_j and the log of
     column operations: each entry (j, [(k, shift, factor), ...]) replaced
     col_j by the sum of factor * z^shift * col_k, with the k = j term 1.
     """
-    n, field, cols = len(cols), cols[0][0].field, list(cols)
+    n, zero, cols = len(cols), field.zero, list(cols)
     deg = [_top_exp(col) for col in cols]
     budget = sum(deg) - dd
     log = []
     for _ in range(budget):
         if sum(deg) == dd:      # the leading coefficients are invertible
             break
-        lead = [[cols[j][i].coeff(deg[j]) for j in range(n)] for i in range(n)]
-        alpha = linalg.kernel_vector(lead, field.one, field.zero)
+        lead = [[cols[j][i].coeff((deg[j],), zero) for j in range(n)]
+                for i in range(n)]
+        alpha = linalg.kernel_vector(lead, field.one, zero)
         if alpha is None:
             raise InternalInvariantError(
                 "invertible leading coefficients above the determinant degree")
@@ -140,10 +147,11 @@ def _column_reduce(cols, dd):
         for i in range(n):
             acc = {}
             for k, shift, f in ops:
-                for e, c in cols[k][i].terms.items():
-                    e += shift
+                for (e,), c in cols[k][i].terms.items():
+                    e = (e + shift,)
                     acc[e] = acc[e] + c * f if e in acc else c * f
-            new.append(LaurentZ(field, acc))
+            new.append(LaurentPoly._trusted(
+                1, {e: c for e, c in acc.items() if not c.is_zero}))
         log.append((j, ops))
         cols[j], deg[j] = new, _top_exp(new)
     if sum(deg) != dd:
@@ -160,25 +168,26 @@ def splitting_type(bundle: P1Bundle):
     return sorted((-d for d in deg), reverse=True)
 
 
-def _reduced_frame(reduction, inverse):
+def _reduced_frame(field, reduction, inverse):
     """(A, d, V) from one column reduction G U = A diag(z^d): A lies in
     GL_n(K[1/z]), U in GL_n(K[z]) is the product of the logged column
     operations, and V is U, or U^(-1) when ``inverse`` (each logged step
     undone by the row operations row_k -= factor z^shift row_j, k != j)."""
     cols, deg, log = reduction
-    n, field = len(cols), cols[0][0].field
-    amat = [[cols[j][i].shift(-deg[j]) for j in range(n)] for i in range(n)]
-    mat = linalg.identity(n, LaurentZ.one(field), LaurentZ.zero(field))
+    n = len(cols)
+    amat = [[cols[j][i].shift((-deg[j],)) for j in range(n)] for i in range(n)]
+    mat = linalg.identity(n, LaurentPoly.constant(1, field.one),
+                          LaurentPoly.zero(1))
     for j, ops in log:
         for k, shift, f in ops:
             if k == j:
                 continue
             if inverse:
-                mat[k] = [x - y.shift(shift).scale(f)
+                mat[k] = [x - y.shift((shift,)).scale(f)
                           for x, y in zip(mat[k], mat[j])]
             else:
                 for row in mat:
-                    row[j] = row[j] + row[k].shift(shift).scale(f)
+                    row[j] = row[j] + row[k].shift((shift,)).scale(f)
     return amat, deg, mat
 
 
@@ -188,29 +197,29 @@ def h0_twist(bundle: P1Bundle, m: int) -> int:
 
 
 def section_basis(bundle, m):
-    """Basis of H0(B(m)) as vectors of polynomial LaurentZ entries: the
+    """Basis of H0(B(m)) as vectors of entries polynomial in z: the
     z^k u_j with 0 <= k <= m - d_j, u_j column j of U (module docstring)."""
-    _, deg, umat = _reduced_frame(bundle.reduction, inverse=False)
-    return [[row[j].shift(k) for row in umat]
+    _, deg, umat = _reduced_frame(bundle.field, bundle.reduction, inverse=False)
+    return [[row[j].shift((k,)) for row in umat]
             for j, d in enumerate(deg) for k in range(m - d + 1)]
 
 
 def _flip(x):
     """x(1/z): the exponents negated."""
-    return LaurentZ(x.field, {-e: c for e, c in x.terms.items()})
+    return LaurentPoly._trusted(1, {(-e,): c for (e,), c in x.terms.items()})
 
 
-def _inverse_frame(amat):
+def _inverse_frame(field, amat):
     """A^(-1) for A in GL_n(K[1/z]) with constant determinant, from the
     column reduction of A(1/w) (module docstring): A V = K0, and K0^(-1)
     is applied by combining the columns of V with scalar factors."""
-    n, field = len(amat), amat[0][0].field
-    k0, _, vmat = _reduced_frame(
-        _column_reduce([[_flip(row[j]) for row in amat] for j in range(n)], 0),
+    n = len(amat)
+    k0, _, vmat = _reduced_frame(field, _column_reduce(
+        field, [[_flip(row[j]) for row in amat] for j in range(n)], 0),
         inverse=False)
-    kinv = linalg.invert([[x.coeff(0) for x in row] for row in k0],
-                         field.one, field.zero)
-    zero = LaurentZ.zero(field)
+    kinv = linalg.invert([[x.coeff((0,), field.zero) for x in row]
+                          for row in k0], field.one, field.zero)
+    zero = LaurentPoly.zero(1)
     return [[_flip(sum((x.scale(c[j]) for x, c in zip(row, kinv)
                         if not c[j].is_zero), zero)) for j in range(n)]
             for row in vmat]
@@ -223,9 +232,10 @@ def invert_unimodular(mat, field):
     bundle = P1Bundle(field, mat)  # refuses a non-unit determinant
     if bundle.det_exp:
         raise PreconditionError("matrix determinant is not a unit constant")
-    amat, deg, umat = _reduced_frame(bundle.reduction, inverse=False)
-    return linalg.mat_mul(umat, [[x.shift(-d) for x in row]
-                                 for row, d in zip(_inverse_frame(amat), deg)])
+    amat, deg, umat = _reduced_frame(field, bundle.reduction, inverse=False)
+    ainv = _inverse_frame(field, amat)
+    return linalg.mat_mul(umat, [[x.shift((-d,)) for x in row]
+                                 for row, d in zip(ainv, deg)])
 
 
 def factorization_certificate(bundle: P1Bundle):
@@ -238,9 +248,9 @@ def factorization_certificate(bundle: P1Bundle):
     The product is re-multiplied before it is returned.
     """
     n, field = bundle.n, bundle.field
-    amat, deg, cmat = _reduced_frame(bundle.reduction, inverse=True)
-    zero = LaurentZ.zero(field)
-    dmat = [[LaurentZ.monomial(field, deg[i]) if i == j else zero
+    amat, deg, cmat = _reduced_frame(field, bundle.reduction, inverse=True)
+    zero = LaurentPoly.zero(1)
+    dmat = [[LaurentPoly.monomial(1, (deg[i],), field.one) if i == j else zero
              for j in range(n)] for i in range(n)]
     recon = linalg.mat_mul(linalg.mat_mul(amat, dmat), cmat)
     if not linalg.mat_eq(recon, bundle.entries):

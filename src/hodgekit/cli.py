@@ -297,7 +297,7 @@ def _langton(verb, data, seed):
 
 
 def _cert_json(cert):
-    return {side: [[jsonio.laurentz_to_json(lg.to_laurentz(e), "ratfun_s")
+    return {side: [[jsonio.zpoly_to_json(lg.to_ks(e), "ratfun_s")
                     for e in row] for row in mat]
             for side, mat in (("left", cert.left), ("right", cert.right))}
 

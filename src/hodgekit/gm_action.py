@@ -244,12 +244,11 @@ class Arc:
         return tuple(i for i, c in enumerate(self.coords) if not c.is_zero)
 
     def valuation(self, i):
-        return self.coords[i].min_exp()
+        return min(self.coords[i].terms)[0]
 
     def leading_point(self):
-        return ProjPoint([
-            c.coeff(c.min_exp()) if not c.is_zero else Scalar.zero()
-            for c in self.coords])
+        return ProjPoint([c.coeff(min(c.terms)) if c.terms else Scalar.zero()
+                          for c in self.coords])
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ def newton_limits(action: WeightedAction, arc: Arc):
         coords = [Scalar.zero()] * action.n_coords
         for i in sup:
             if vals[i] == best:
-                coords[i] = arc.coords[i].coeff(arc.valuation(i))
+                coords[i] = arc.coords[i].coeff((arc.valuation(i),))
         return ProjPoint(coords)
 
     order = sorted(lines)  # active weight increases along eps

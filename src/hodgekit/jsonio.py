@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .scalars import Scalar, format_scalar, parse_scalar
 from .laurent import LaurentPoly
-from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
+from .univariate import RatFunc, RATFUNC_S, SCALARS
 from .birkhoff import P1Bundle
 from .rees import FilteredSpace, ReesModule
 from .twistor import QuaternionicSpace, SectionO1
@@ -133,30 +133,31 @@ def _coeff_from_json(x, tag):
     return RatFunc(vector_from_json(x["num"]), vector_from_json(x["den"]))
 
 
-def laurentz_to_json(lz: LaurentZ, tag):
+def zpoly_to_json(p: LaurentPoly, tag):
+    """A rank-1 ``LaurentPoly`` in z as a term list with int exponents."""
     return [{"exp": e, "coeff": _coeff_to_json(c, tag)}
-            for e, c in sorted(lz.terms.items())]
+            for (e,), c in p.sorted_terms()]
 
 
-def laurentz_from_json(data, tag):
-    return _laurentz_from_json(data, tag, "exp")
+def zpoly_from_json(data, tag):
+    return _zpoly_from_json(data, tag, "exp")
 
 
-def _laurentz_from_json(data, tag, key):
-    """A term list whose exponents are stored under ``key``."""
-    field = SCALARS if tag == "gaussian" else RATFUNC_S
+def _zpoly_from_json(data, tag, key):
+    """A term list whose int exponents are stored under ``key``."""
     terms = {}
     for item in data:
-        e = integer_from_json(item[key])
+        e = (integer_from_json(item[key]),)
         c = _coeff_from_json(item["coeff"], tag)
-        terms[e] = terms.get(e, field.zero) + c
-    return LaurentZ(field, terms)
+        terms[e] = terms[e] + c if e in terms else c
+    return LaurentPoly._trusted(1, {e: c for e, c in terms.items()
+                                    if not c.is_zero})
 
 
 def bundle_to_json(b: P1Bundle):
     tag = b.field.tag
     return {"rank": b.n, "var": "z", "field": tag,
-            "entries": [[laurentz_to_json(e, tag) for e in row]
+            "entries": [[zpoly_to_json(e, tag) for e in row]
                         for row in b.entries]}
 
 
@@ -165,7 +166,7 @@ def bundle_from_json(d) -> P1Bundle:
     if tag not in ("gaussian", "ratfun_s"):
         raise PreconditionError(f"unknown coefficient field {tag!r}")
     field = SCALARS if tag == "gaussian" else RATFUNC_S
-    entries = [[laurentz_from_json(e, tag) for e in row] for row in d["entries"]]
+    entries = [[zpoly_from_json(e, tag) for e in row] for row in d["entries"]]
     if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("bundle rank disagrees with entry count")
     return P1Bundle(field, entries)
@@ -281,7 +282,7 @@ def point_to_json(p: ProjPoint):
 
 
 def arc_from_json(data) -> Arc:
-    return Arc([laurentz_from_json(c, "gaussian") for c in data])
+    return Arc([zpoly_from_json(c, "gaussian") for c in data])
 
 
 # -- disk families --------------------------------------------------------
@@ -290,12 +291,12 @@ def arc_from_json(data) -> Arc:
 def family_to_json(f: DiskFamily):
     return {"rank": f.n,
             "entries": [[[{"zexp": k, "coeff": _coeff_to_json(c, "ratfun_s")}
-                          for k, c in sorted(e.terms.items())] for e in row]
+                          for (k,), c in e.sorted_terms()] for e in row]
                         for row in f.entries]}
 
 
 def family_from_json(d) -> DiskFamily:
-    entries = [[_laurentz_from_json(e, "ratfun_s", "zexp") for e in row]
+    entries = [[_zpoly_from_json(e, "ratfun_s", "zexp") for e in row]
                for row in d["entries"]]
     if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("family rank disagrees with entry count")

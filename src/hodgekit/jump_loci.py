@@ -118,9 +118,8 @@ def jump_ideal(p: CWPresentation, k: int):
     seen = set()
     out = []
     for q in mins:
-        key = q.key()
-        if key not in seen:
-            seen.add(key)
+        if q not in seen:
+            seen.add(q)
             out.append(q)
     return out
 

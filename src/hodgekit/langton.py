@@ -28,8 +28,8 @@ determinant, is the z^det_exp s^0 coefficient of det N over q(0)^n, so
 no determinant is expanded and no gcd is taken.  L and R lie in
 Q(i)[s^+-][z^+-] and need no denominator.  ``RatFunc`` appears only where
 a family enters (``DiskFamily(entries)``), in the normal-form ``entries``
-view and certificates written on output (``to_laurentz``), and in the
-K(s) fallback below.
+view and certificates written on output (``to_ks``, rank-1 ``LaurentPoly``
+in z over K(s)), and in the K(s) fallback below.
 
 The precondition that the generic fiber is balanced is certified by
 specialisation: h0 is upper semicontinuous in s, so a balanced splitting
@@ -51,7 +51,7 @@ from . import linalg
 from .birkhoff import (P1Bundle, _inverse_frame, _reduced_frame,
                        splitting_type)
 from .laurent import LaurentPoly
-from .univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
+from .univariate import RatFunc, RATFUNC_S, SCALARS
 
 # the polynomial 1 in s, dense
 _ONE = (Scalar.one(),)
@@ -69,10 +69,10 @@ def _s_poly(p):
 
 
 def _numerator(e, q):
-    """q * e for a ``LaurentZ`` e over K(s) whose denominators divide q,
+    """q * e for an entry e in z over K(s) whose denominators divide q,
     as a (z, s) ``LaurentPoly``."""
     terms = {}
-    for k, c in e.terms.items():
+    for (k,), c in e.terms.items():
         num = c.num
         if c.den != q:
             num = pmul(num, q if c.den == _ONE else pdivmod(q, c.den)[0])
@@ -80,9 +80,9 @@ def _numerator(e, q):
     return LaurentPoly._trusted(2, terms)
 
 
-def to_laurentz(x, den=_ONE):
-    """x / den(s) as a ``LaurentZ`` over K(s), x a (z, s) ``LaurentPoly``
-    and ``den`` a monic dense polynomial with den(0) != 0.
+def to_ks(x, den=_ONE):
+    """x / den(s) as a rank-1 ``LaurentPoly`` in z over K(s), x a (z, s)
+    ``LaurentPoly`` and ``den`` a monic dense polynomial with den(0) != 0.
 
     The coefficient of z^k is p(s) / (den(s) s^m) with p(0) != 0; over
     den = 1 that is already the normal form of ``RatFunc``, so only a
@@ -97,10 +97,10 @@ def to_laurentz(x, den=_ONE):
         num = [coeffs.get(j, zero) for j in range(base, max(coeffs) + 1)]
         sden = (zero,) * -base + _ONE
         if den == _ONE:
-            out[k] = RatFunc._trusted(num, sden)
+            out[(k,)] = RatFunc._trusted(num, sden)
         else:
-            out[k] = RatFunc(num, pmul(den, sden))
-    return LaurentZ(RATFUNC_S, out)
+            out[(k,)] = RatFunc(num, pmul(den, sden))
+    return LaurentPoly._trusted(1, out)
 
 
 class DiskFamily:
@@ -143,8 +143,9 @@ class DiskFamily:
 
     @functools.cached_property
     def entries(self):
-        """T as a matrix of ``LaurentZ`` over K(s), in normal form."""
-        return [[to_laurentz(x, self.q) for x in row] for row in self.num]
+        """T as a matrix of rank-1 ``LaurentPoly`` in z over K(s), in
+        normal form."""
+        return [[to_ks(x, self.q) for x in row] for row in self.num]
 
     def fiber_at(self, s0) -> P1Bundle:
         """The fiber over s = s0: N(z, s0) / q(s0), with determinant
@@ -162,27 +163,28 @@ class DiskFamily:
             powers.append(powers[-1] * s0)
 
         def value(x):
-            """x(z, s0) as {z-exponent: value}, zeros included."""
+            """x(z, s0) as {(z-exponent,): value}, zeros included."""
             acc = {}
             for (k, j), c in x.terms.items():
                 if not powers[j].is_zero:
-                    term = c * powers[j]
+                    term, k = c * powers[j], (k,)
                     acc[k] = acc[k] + term if k in acc else term
             return acc
 
         qv = sum((c * p for c, p in zip(self.q, powers)), Scalar.zero())
         if qv.is_zero:
             raise PreconditionError(f"family has a pole at s = {s0}")
-        if value(self.det).get(self.det_exp, Scalar.zero()).is_zero:
+        if value(self.det).get((self.det_exp,), Scalar.zero()).is_zero:
             raise PreconditionError("transition determinant is not a unit")
-        fiber = [[value(x) for x in row] for row in self.num]
-        if self.q != _ONE:
+        fiber = [[{k: c for k, c in value(x).items() if not c.is_zero}
+                  for x in row] for row in self.num]
+        if not qv.is_one:
             scale = qv.inv()
             fiber = [[{k: c * scale for k, c in x.items()} for x in row]
                      for row in fiber]
         # det = (det N)(z, s0) / q(s0)^n, nonzero at z^det_exp as just checked
         return P1Bundle._trusted(
-            SCALARS, [[LaurentZ(SCALARS, x) for x in row] for row in fiber],
+            SCALARS, [[LaurentPoly._trusted(1, x) for x in row] for row in fiber],
             self.det_exp)
 
     @functools.cached_property
@@ -220,9 +222,11 @@ class StepCertificate:
 
 def generic_splitting(family: DiskFamily):
     """The splitting type over K(s); the scalar 1/q does not change it, so
-    N is reduced directly."""
-    return splitting_type(P1Bundle(RATFUNC_S, [[to_laurentz(x) for x in row]
-                                               for row in family.num]))
+    N is reduced directly.  det N = c(s) z^det_exp with c != 0 is a unit
+    over K(s), so no determinant is expanded."""
+    return splitting_type(P1Bundle._trusted(
+        RATFUNC_S, [[to_ks(x) for x in row] for row in family.num],
+        family.det_exp))
 
 
 def special_splitting(family: DiskFamily):
@@ -262,8 +266,8 @@ def _generic_balanced(family: DiskFamily) -> bool:
 
 
 def _lift(mat):
-    """A matrix of ``LaurentZ`` over Q(i) as constant-in-s (z, s) entries."""
-    return [[LaurentPoly._trusted(2, {(k, 0): c for k, c in x.terms.items()})
+    """A matrix of entries in z over Q(i) as constant-in-s (z, s) entries."""
+    return [[LaurentPoly._trusted(2, {(k, 0): c for (k,), c in x.terms.items()})
              for x in row] for row in mat]
 
 
@@ -290,7 +294,7 @@ def _block_valuation(entries, delta):
 _MAX_PASSES = 200
 
 
-def langton_step(family: DiskFamily, seed=0):
+def langton_step(family: DiskFamily):
     """One elementary modification; returns (new family, certificate, record).
 
     Internally this repeats {factor the special fiber, absorb the constant
@@ -300,7 +304,7 @@ def langton_step(family: DiskFamily, seed=0):
     a thicker neighbourhood of s = 0, and the repetition is exactly the
     passage to the maximal such quotient.  Non-termination would hand the
     generic fiber a destabilizing quotient, which the precondition forbids.
-    ``seed`` is accepted and ignored: the step is deterministic.
+    The step is deterministic.
     """
     special_type = tuple(special_splitting(family))
     if _is_balanced(special_type):
@@ -321,14 +325,15 @@ def _step(family):
 
     for _ in range(_MAX_PASSES):
         # T|_(s=0) = A0 D U^(-1) with D_jj = z^(d_j) = z^(-a_j)
-        a0, deg, u = _reduced_frame(current.special.reduction, inverse=False)
+        a0, deg, u = _reduced_frame(SCALARS, current.special.reduction,
+                                    inverse=False)
         exps = [-d for d in deg]
         avg = Fraction(sum(exps), n)
         delta = [1 if a < avg else 0 for a in exps]
         if not any(delta) or all(delta):
             raise InternalInvariantError("destabilizing index set must be proper")
 
-        a0_inv = _lift(_inverse_frame(a0))
+        a0_inv = _lift(_inverse_frame(SCALARS, a0))
         c0_inv = _lift(u)
         t1 = linalg.mat_mul(linalg.mat_mul(a0_inv, current.num), c0_inv)
         v = _block_valuation(t1, delta)
@@ -369,14 +374,14 @@ def _step(family):
 _MAX_STEPS = 200
 
 
-def langton_reduce(family: DiskFamily, seed=0):
+def langton_reduce(family: DiskFamily):
     """Iterate elementary modifications until the special fiber balances.
 
     Requires a semistable generic fiber (the rank must divide the total
     degree).  The trail of special splitting types decreases strictly in
     lexicographic order, which both enforces and certifies termination.
-    Each special fiber is column-reduced once.  ``seed`` is accepted and
-    ignored: the reduction is deterministic.
+    Each special fiber is column-reduced once.  The reduction is
+    deterministic.
     """
     if not _generic_balanced(family):
         raise PreconditionError(

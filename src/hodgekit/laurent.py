@@ -1,16 +1,29 @@
-"""Multivariate Laurent polynomials over exact scalars.
+"""Laurent polynomials: the group algebra of Z^a over an exact field.
 
-This is the group algebra of Z^a: finitely many terms c * t1^e1 ... ta^ea
-with nonzero exact coefficients, stored as a map from integer exponent
-vectors to ``Scalar``.  Units are exactly the single-term elements.
+Finitely many terms c * t1^e1 ... ta^ea with nonzero coefficients, stored
+as a map from integer exponent tuples to coefficients.  Units are exactly
+the single-term elements.  One class serves every rank hodgekit uses:
+rank 1 is the chart coordinate z of a bundle on P^1 and the parameter of
+an arc, rank 2 is Langton's (z, s), and rank a is the character torus of
+the jump loci.  Coefficients are ``Scalar`` or ``univariate.RatFunc``.
+The class never invents a zero or a one of its field (``univariate.Field``
+carries those), so ints and Fractions are the only coefficients it
+coerces, and it adds, hashes and scales through the coefficients' own
+operations.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add
 
 from .errors import PreconditionError
 from .scalars import Scalar, power
+
+
+def _coerce(c):
+    """Rationals become ``Scalar``; field elements pass unchanged."""
+    return Scalar.rational(c) if isinstance(c, (int, Fraction)) else c
 
 
 class LaurentPoly:
@@ -26,18 +39,20 @@ class LaurentPoly:
             if len(exp) != rank:
                 raise PreconditionError(
                     f"exponent vector {exp} has length {len(exp)}, want {rank}")
-            if not isinstance(coeff, Scalar):
-                coeff = Scalar.rational(coeff)
+            coeff = _coerce(coeff)
             if not coeff.is_zero:
-                clean[exp] = clean.get(exp, Scalar.zero()) + coeff
-                if clean[exp].is_zero:
+                if exp in clean:
+                    coeff = clean[exp] + coeff
+                if coeff.is_zero:
                     del clean[exp]
+                else:
+                    clean[exp] = coeff
         self.terms = clean
 
     @staticmethod
     def _trusted(rank, terms):
         """Wrap a term dict already in normal form (int tuples of length
-        ``rank`` to nonzero ``Scalar``), skipping the re-validation."""
+        ``rank`` to nonzero coefficients), skipping the re-validation."""
         out = object.__new__(LaurentPoly)
         out.rank, out.terms = rank, terms
         return out
@@ -85,19 +100,25 @@ class LaurentPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
-    def key(self):
-        return (self.rank, tuple((e, c.key()) for e, c in self.sorted_terms()))
+    def coeff(self, exp, zero=None):
+        """The coefficient of t^exp, or ``zero`` where there is no term."""
+        return self.terms.get(exp, zero)
+
+    def shift(self, exp):
+        """The product with the monomial t^exp."""
+        return LaurentPoly._trusted(
+            self.rank, {tuple(map(add, e, exp)): c for e, c in self.terms.items()})
 
     def __eq__(self, other):
-        if isinstance(other, (int,)):
+        if isinstance(other, int):
             other = LaurentPoly.constant(self.rank, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        # Scalar equality is by value, so the term dicts compare directly
+        # coefficient equality is by value, so the term dicts compare directly
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.rank, frozenset(self.terms.items())))
 
     # ---- arithmetic
 
@@ -114,7 +135,7 @@ class LaurentPoly:
         other = self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            acc = out.get(exp, Scalar.zero()) + c
+            acc = c if exp not in out else out[exp] + c
             if acc.is_zero:
                 out.pop(exp, None)
             else:
@@ -155,8 +176,7 @@ class LaurentPoly:
         return power(self, k, LaurentPoly.one(self.rank))
 
     def scale(self, c):
-        if not isinstance(c, Scalar):
-            c = Scalar.rational(c)
+        c = _coerce(c)
         if c.is_zero:
             return LaurentPoly.zero(self.rank)
         return LaurentPoly._trusted(self.rank,

@@ -11,7 +11,8 @@ X with m X = B off rref([m | B]); ``invert`` is ``solve(m, I)``.  Field
 elements must support +, -, *, ``inv()``, unary minus, equality and the
 ``is_zero`` and ``is_one`` properties; ``Scalar`` and ``RatFunc``
 qualify.  ``mat_mul``, ``det_ring`` and ``minors`` use ring operations
-only, so ``LaurentPoly`` entries work too; ``smith_normal_form`` is over Z.
+only, so ``LaurentPoly`` entries over either work too; ``smith_normal_form``
+is over Z.
 """
 
 from __future__ import annotations

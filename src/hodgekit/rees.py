@@ -17,7 +17,8 @@ from typing import Optional
 from .errors import PreconditionError
 from . import linalg
 from .scalars import Scalar
-from .univariate import LaurentZ, SCALARS
+from .laurent import LaurentPoly
+from .univariate import SCALARS
 from .birkhoff import P1Bundle, splitting_type
 
 
@@ -214,10 +215,8 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
         raise PreconditionError("matrix is singular")
     p = rf.weights
     q = rb.weights
-    entries = [
-        [LaurentZ(SCALARS, {-(q[i] + p[j]): cinv[i][j]}) for j in range(n)]
-        for i in range(n)
-    ]
+    entries = [[LaurentPoly._trusted(1, {(-(q[i] + p[j]),): c} if c else {})
+                for j, c in enumerate(row)] for i, row in enumerate(cinv)]
     # det G = det C z^-(sum p + sum q), C invertible by the solve above
     bundle = P1Bundle._trusted(SCALARS, entries, -(sum(p) + sum(q)))
     exps = splitting_type(bundle)

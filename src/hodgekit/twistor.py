@@ -21,7 +21,8 @@ from .errors import PreconditionError, InternalInvariantError
 from . import linalg
 from .birkhoff import P1Bundle
 from .scalars import Scalar
-from .univariate import LaurentZ, SCALARS
+from .laurent import LaurentPoly
+from .univariate import SCALARS
 
 
 def _conj_mat(m):
@@ -286,8 +287,8 @@ def twistor_bundle(qs: QuaternionicSpace) -> P1Bundle:
     """
     n = qs.dim
     minus_i = -Scalar.i()
-    entries = [[LaurentZ(SCALARS, {-1: minus_i * qs.jm[i][j].conj()})
-                for j in range(n)] for i in range(n)]
+    entries = [[LaurentPoly(1, {(-1,): minus_i * x.conj()}) for x in row]
+               for row in qs.jm]
     # det G = det(-i conj J_m) z^-n, and J_m conj(J_m) = -1 makes J_m invertible
     return P1Bundle._trusted(SCALARS, entries, -n)
 

@@ -1,16 +1,14 @@
-"""One-variable exact machinery shared by the bundle code.
+"""Rational functions of the disk parameter s, and the coefficient fields.
 
-Two types over ``Scalar`` coefficients, built on the dense-polynomial
-layer of ``scalars`` (``ptrim``, ``padd``, ``pneg``, ``pmul``, ``pdivmod``,
-``pgcd``):
+``RatFunc`` is a normalized rational function over ``Scalar``, built on the
+dense-polynomial layer of ``scalars`` (``ptrim``, ``padd``, ``pneg``,
+``pmul``, ``pdivmod``, ``pgcd``); it models functions of s that stay exact
+under every operation.  Laurent polynomials in the chart coordinate z are
+rank-1 ``laurent.LaurentPoly`` with ``Scalar`` or ``RatFunc`` coefficients.
 
-* ``RatFunc`` -- normalized rational functions, a field; models functions
-  of the disk parameter s that stay exact under every operation,
-* ``LaurentZ`` -- finitely supported Laurent polynomials in one chart
-  coordinate z whose coefficients are ``Scalar`` or ``RatFunc``.
-
-A tiny ``Field`` tag object carries the zero/one elements around so that
-generic elimination code never needs to invent constants.
+A tiny ``Field`` tag object carries the zero/one elements and the wire tag
+of those two coefficient fields (``SCALARS``, ``RATFUNC_S``) around, so
+that generic elimination code never needs to invent constants.
 """
 
 from __future__ import annotations
@@ -194,114 +192,3 @@ def _fmt_poly(c):
 
 
 RATFUNC_S = Field(RatFunc([]), RatFunc([1]), "ratfun_s")
-
-
-# -- Laurent polynomials in the chart coordinate -------------------------
-
-
-class LaurentZ:
-    """Finitely supported map exponent -> coefficient over ``field``."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        clean = {}
-        for e, c in (terms or {}).items():
-            if not c.is_zero:
-                clean[int(e)] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero(field):
-        return LaurentZ(field)
-
-    @staticmethod
-    def const(field, c):
-        return LaurentZ(field, {0: c})
-
-    @staticmethod
-    def one(field):
-        return LaurentZ.const(field, field.one)
-
-    @staticmethod
-    def monomial(field, e, c=None):
-        return LaurentZ(field, {e: c if c is not None else field.one})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def coeff(self, e):
-        return self.terms.get(e, self.field.zero)
-
-    def min_exp(self):
-        if self.is_zero:
-            raise PreconditionError("zero Laurent polynomial has no valuation")
-        return min(self.terms)
-
-    def max_exp(self):
-        if self.is_zero:
-            raise PreconditionError("zero Laurent polynomial has no degree")
-        return max(self.terms)
-
-    def is_monomial(self):
-        return len(self.terms) == 1
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e, self.field.zero) + c
-            if acc.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = acc
-        return LaurentZ(self.field, out)
-
-    def __neg__(self):
-        return LaurentZ(self.field, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentZ):
-            return self.scale(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                acc = out.get(e, self.field.zero) + c1 * c2
-                if acc.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return LaurentZ(self.field, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return LaurentZ(self.field, {e: x * c for e, x in self.terms.items()})
-
-    def shift(self, k):
-        return LaurentZ(self.field, {e + k: c for e, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentZ):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0],)))
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({c})*z^{e}" if e else f"({c})"
-                          for e, c in sorted(self.terms.items()))
-
-    def __repr__(self):
-        return f"LaurentZ({self})"

@@ -3,8 +3,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from hodgekit.laurent import LaurentPoly
 from hodgekit.scalars import Scalar
-from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
+from hodgekit.univariate import RatFunc
 
 
 def sc(x):
@@ -17,14 +18,13 @@ def gauss(a, b):
 
 def lzg(terms):
     """Gaussian-coefficient Laurent in z from {exp: rational-ish}."""
-    return LaurentZ(SCALARS, {k: v if isinstance(v, Scalar) else Scalar.rational(v)
-                              for k, v in terms.items()})
+    return LaurentPoly(1, {(k,): v for k, v in terms.items()})
 
 
 def lzs(terms):
     """ratfun_s-coefficient Laurent in z from {exp: RatFunc | int}."""
-    return LaurentZ(RATFUNC_S, {k: v if isinstance(v, RatFunc) else RatFunc([v])
-                                for k, v in terms.items()})
+    return LaurentPoly(1, {(k,): v if isinstance(v, RatFunc) else RatFunc([v])
+                           for k, v in terms.items()})
 
 
 def basis_vec(i, n):
@@ -61,10 +61,10 @@ def special_reductions(monkeypatch):
             seen.fibers.append(bundle)
         return bundle
 
-    def column_reduce(cols, dd):
+    def column_reduce(field, cols, dd):
         seen.reduced.extend(b for b in seen.fibers
                             if cols[0][0] is b.entries[0][0])
-        return real_reduce(cols, dd)
+        return real_reduce(field, cols, dd)
     monkeypatch.setattr(langton.DiskFamily, "fiber_at", fiber_at)
     monkeypatch.setattr(birkhoff, "_column_reduce", column_reduce)
     return seen

@@ -8,7 +8,7 @@ from hodgekit.gm_action import (Arc, ProjPoint, WeightedAction, choose_gauge,
                                 limit0, limitinf, membership, newton_limits,
                                 orbit_equivalent)
 from hodgekit.scalars import Scalar
-from hodgekit.univariate import LaurentZ, SCALARS
+from hodgekit.laurent import LaurentPoly
 
 from conftest import lzg, sc
 
@@ -159,7 +159,7 @@ def test_newton_limits_worked_example():
 
 
 def test_newton_limits_constant_and_fractional():
-    single = Arc([lzg({0: 1}), LaurentZ.zero(SCALARS), LaurentZ.zero(SCALARS)])
+    single = Arc([lzg({0: 1}), LaurentPoly.zero(1), LaurentPoly.zero(1)])
     segs = newton_limits(W012, single)
     assert len(segs) == 1 and segs[0].kind == "interval" and segs[0].weight == 0
     frac = WeightedAction([0, 2], Fraction(-1, 2))
@@ -167,7 +167,7 @@ def test_newton_limits_constant_and_fractional():
     bps = [s for s in segs if s.kind == "breakpoint"]
     assert len(bps) == 1 and bps[0].lo == Fraction(1, 2)
     with pytest.raises(PreconditionError):
-        Arc([LaurentZ.zero(SCALARS)])
+        Arc([LaurentPoly.zero(1)])
 
 
 def test_choose_gauge():
@@ -180,14 +180,14 @@ def test_choose_gauge():
     eps2, landing2 = choose_gauge(w_low, decompose(w_low), arc)
     assert eps2 == Fraction(2) and landing2 == ProjPoint([0, 1, 1])
     # constant arc already in U
-    const = Arc([lzg({0: 1}), lzg({0: 1}), LaurentZ.zero(SCALARS)])
+    const = Arc([lzg({0: 1}), lzg({0: 1}), LaurentPoly.zero(1)])
     eps3, landing3 = choose_gauge(W012, dec, const)
     assert eps3 == 0 and landing3 == ProjPoint([1, 1, 0])
     # arc whose generic point sits in Y+, rejected
     with pytest.raises(PreconditionError):
         choose_gauge(W012, dec, Arc([lzg({0: 1}),
-                                     LaurentZ.zero(SCALARS),
-                                     LaurentZ.zero(SCALARS)]))
+                                     LaurentPoly.zero(1),
+                                     LaurentPoly.zero(1)]))
 
 
 def test_interval_weights_strictly_increase(rng):
@@ -195,7 +195,7 @@ def test_interval_weights_strictly_increase(rng):
         coords = []
         for _ in range(3):
             if rng.random() < 0.25:
-                coords.append(LaurentZ.zero(SCALARS))
+                coords.append(LaurentPoly.zero(1))
             else:
                 coords.append(lzg({rng.randint(0, 4): rng.randint(1, 3)}))
         try:

@@ -6,18 +6,18 @@ import sys
 import pytest
 
 from hodgekit import cli, jsonio, langton, linalg
-from hodgekit.birkhoff import splitting_type
+from hodgekit.birkhoff import P1Bundle, splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.langton import (DiskFamily, generic_splitting, langton_reduce,
-                              langton_step, special_splitting, to_laurentz)
+                              langton_step, special_splitting, to_ks)
 from hodgekit.laurent import LaurentPoly
 from hodgekit.scalars import Scalar, pmul
-from hodgekit.univariate import LaurentZ, RatFunc, RATFUNC_S, SCALARS
+from hodgekit.univariate import RatFunc, RATFUNC_S
 
 from conftest import lzs
 
 ONE = RatFunc([1])
-Z0 = LaurentZ.zero(RATFUNC_S)
+Z0 = LaurentPoly.zero(1)
 
 
 def fixture_gap2(svar):
@@ -137,7 +137,7 @@ def test_generic_preserved_randomized(rng, svar):
         n = rng.choice([2, 3])
         fam = random_gap2_family(rng, n, svar)
         before = generic_splitting(fam)
-        out, trail, certs = langton_reduce(fam, seed=trial)
+        out, trail, certs = langton_reduce(fam)
         assert generic_splitting(out) == before
         assert trail[-1].special_type == tuple(before)
         types = [r.special_type for r in trail]
@@ -146,7 +146,7 @@ def test_generic_preserved_randomized(rng, svar):
         # every certificate re-multiplies (checked inside, but re-verify one)
         if certs:
             step_in, _, _ = fam, None, None
-            new, cert, _ = langton_step(fam, seed=trial)
+            new, cert, _ = langton_step(fam)
             assert cert.verify(fam, new)
 
 
@@ -219,11 +219,12 @@ def test_special_fiber_is_factored_once_per_family(svar, special_reductions):
     assert len(special_reductions.reduced) == count
 
 
-def test_reduce_ignores_seed():
+def test_reduce_is_deterministic():
     fam = chart_changed_family(5)
-    out, trail, certs = langton_reduce(fam, seed=0)
-    out2, trail2, certs2 = langton_reduce(fam, seed=12345)
+    out, trail, certs = langton_reduce(fam)
+    out2, trail2, certs2 = langton_reduce(fam)
     assert linalg.mat_eq(out.entries, out2.entries)
+    assert out.num == out2.num and out.q == out2.q and out.det == out2.det
     assert trail == trail2 and certs == certs2
 
 
@@ -337,7 +338,7 @@ def test_reduce_three_factor_families():
         # the same steps one at a time: each certificate re-multiplies
         current = fam
         for step, cert in enumerate(certs):
-            new, again, record = langton_step(current, seed=step)
+            new, again, record = langton_step(current)
             assert again == cert and record.special_type == trail[step].special_type
             assert cert.verify(current, new)
             current = new
@@ -394,8 +395,8 @@ def test_certificates_remultiply_in_both_forms():
         for before, after, cert in steps:
             assert cert.verify(before, after)
             assert not cert.verify(before, before)
-            left = [[to_laurentz(x) for x in row] for row in cert.left]
-            right = [[to_laurentz(x) for x in row] for row in cert.right]
+            left = [[to_ks(x) for x in row] for row in cert.left]
+            right = [[to_ks(x) for x in row] for row in cert.right]
             assert linalg.mat_eq(
                 linalg.mat_mul(linalg.mat_mul(left, before.entries), right),
                 after.entries)
@@ -428,29 +429,57 @@ def test_step_hands_over_the_determinant(monkeypatch):
             qn = [Scalar.one()]
             for _ in range(after.n):
                 qn = pmul(qn, list(after.q))
-            det_t = real(after.entries, LaurentZ.one(RATFUNC_S),
-                         LaurentZ.zero(RATFUNC_S))
-            assert det_t == to_laurentz(after.det, tuple(qn))
+            det_t = real(after.entries, LaurentPoly.constant(1, RATFUNC_S.one),
+                         LaurentPoly.zero(1))
+            assert det_t == to_ks(after.det, tuple(qn))
         # each fiber's determinant is z^det_exp (det N)(s0) / q(s0)^n
         for family in (fam, steps[-1][1]):
             for s0 in (0, 1, 3):
                 fiber = family.fiber_at(s0)
-                det = real(fiber.entries, LaurentZ.one(SCALARS),
-                           LaurentZ.zero(SCALARS))
+                det = real(fiber.entries, LaurentPoly.one(1),
+                           LaurentPoly.zero(1))
                 s = Scalar.rational(s0)
                 det_n = sum((c * s ** j for (_, j), c in family.det.terms.items()),
                             Scalar.zero())
                 qv = sum((c * s ** j for j, c in enumerate(family.q)),
                          Scalar.zero())
                 assert fiber.det_exp == family.det_exp
-                assert det == LaurentZ(SCALARS,
-                                       {family.det_exp: det_n / qv ** family.n})
+                assert det == LaurentPoly(1, {(family.det_exp,):
+                                              det_n / qv ** family.n})
     monkeypatch.setattr(linalg, "det_ring", counted)
     for fam in fams:
         out, _, certs = langton_reduce(fam)
         assert certs
     # no determinant is expanded once the input family is built
     assert calls == []
+
+
+def test_generic_splitting_hands_over_the_determinant(monkeypatch, capsys):
+    calls = []
+    real = linalg.det_ring
+
+    def counted(m, one, zero):
+        calls.append(m)
+        return real(m, one, zero)
+    names = sorted(p.name for p in FIXTURES.glob("langton_*.json"))
+    assert len(names) == 5
+    for name in names:
+        fam = fixture_family(name)
+        # the oracle: the determinant-checked bundle over K(s)
+        want = splitting_type(P1Bundle(
+            RATFUNC_S, [[to_ks(x) for x in row] for row in fam.num]))
+        monkeypatch.setattr(linalg, "det_ring", counted)
+        assert generic_splitting(fam) == want
+        monkeypatch.setattr(linalg, "det_ring", real)
+        assert calls == []
+        # through the CLI, only decoding the family expands a determinant
+        monkeypatch.setattr(linalg, "det_ring", counted)
+        assert cli.main(["langton", "generic", "--input",
+                         str(FIXTURES / name)]) == 0
+        monkeypatch.setattr(linalg, "det_ring", real)
+        assert json.loads(capsys.readouterr().out)["splitting"] == want
+        assert len(calls) == 1 and len(calls[0]) == fam.n
+        del calls[:]
 
 
 @pytest.mark.parametrize("name", ["langton_gap2.json", "langton_gap4.json"])

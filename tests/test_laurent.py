@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hodgekit.errors import PreconditionError
 from hodgekit.laurent import LaurentPoly
 from hodgekit.scalars import Scalar
+from hodgekit.univariate import RatFunc
 
 
 def t(rank, j, power=1):
@@ -73,3 +74,69 @@ def test_substitution_rejects_zero_translation():
 def test_rank_mismatch_rejected():
     with pytest.raises(PreconditionError):
         t(1, 0) + t(2, 0)
+
+
+# -- rank 1 over K(s): the chart coordinate z of families on the disk ----
+
+
+S = RatFunc.var()
+ONE = RatFunc([1])
+
+
+def zs(terms):
+    """A rank-1 polynomial in z over K(s) from {z-exponent: RatFunc}."""
+    return LaurentPoly(1, {(k,): c for k, c in terms.items()})
+
+
+def test_ratfunc_coefficients_add_and_cancel():
+    p = zs({1: S, 0: ONE / (S + 1)})
+    q = zs({1: -S, -1: ONE})
+    assert (p + q).terms == {(0,): ONE / (S + 1), (-1,): ONE}
+    assert (p - p).is_zero and not (p - p).terms
+    assert (zs({0: S, 2: ONE}) + zs({0: -S})) == zs({2: ONE})
+    assert zs({0: S - S}) == zs({}) == LaurentPoly.zero(1)
+    # no term is ever stored with a zero coefficient
+    assert all(not c.is_zero for c in (p + q).terms.values())
+
+
+def test_ratfunc_coefficients_multiply():
+    p = zs({1: S, 0: ONE})
+    q = zs({-1: ONE / S, 0: -ONE})
+    # (s z + 1)(1/(s z) - 1) = 1 - s z + 1/(s z) - 1 = -s z + 1/(s z)
+    assert p * q == zs({1: -S, -1: ONE / S})
+    # (z - s)(z + s) = z^2 - s^2: the z^1 terms cancel
+    assert zs({1: ONE, 0: -S}) * zs({1: ONE, 0: S}) == zs({2: ONE, 0: -(S * S)})
+    assert (p * LaurentPoly.zero(1)).is_zero
+    assert p.scale(S + 1) == zs({1: S * S + S, 0: S + 1})
+    assert p.scale(0).is_zero and p.scale(1) == p
+
+
+def test_ratfunc_coefficients_eq_and_hash():
+    # equal values in different construction orders: equal and equally hashed
+    a = zs({2: S / (S + 1), -1: ONE})
+    b = zs({-1: ONE, 2: (S * S) / (S * S + S)})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a + LaurentPoly.zero(1)}) == 1
+    assert a != zs({2: S / (S + 1)}) and a != a.shift((1,))
+    assert LaurentPoly(1, {(0,): Scalar.one()}) == 1
+
+
+def test_coeff_at_an_exponent():
+    p = zs({3: S, -2: ONE + S})
+    assert p.coeff((3,)) == S and p.coeff((-2,)) == ONE + S
+    # a missing term reads as the zero handed in, None by default
+    assert p.coeff((0,)) is None
+    assert p.coeff((0,), RatFunc([])).is_zero
+    q = t(2, 0) * t(2, 1, -1) * 5
+    assert q.coeff((1, -1), Scalar.zero()) == Scalar.rational(5)
+    assert q.coeff((0, 0), Scalar.zero()).is_zero
+
+
+def test_shift_multiplies_by_a_monomial():
+    p = zs({3: S, -2: ONE + S})
+    assert p.shift((2,)) == zs({5: S, 0: ONE + S})
+    assert p.shift((2,)) == p * LaurentPoly.monomial(1, (2,), 1)
+    assert p.shift((-3,)).shift((3,)) == p and p.shift((0,)) == p
+    assert LaurentPoly.zero(1).shift((4,)).is_zero
+    q = t(2, 0) - t(2, 1)
+    assert q.shift((1, -1)) == q * t(2, 0) * t(2, 1, -1)

@@ -8,7 +8,7 @@ from hodgekit.rees import (FilteredSpace, ReesModule, build_rees, fiber,
                            griffiths_check, recover_filtration, rees_p1)
 from hodgekit.scalars import Scalar
 from hodgekit.selftest import random_filtration, random_scalar
-from hodgekit.univariate import LaurentZ, SCALARS
+from hodgekit.laurent import LaurentPoly
 
 from conftest import basis_vec, sc
 
@@ -238,7 +238,7 @@ def glue_by_inverse(fs, gs, pairing, real):
               for i in range(n)] for v in u]
     c = real.mat_mul(real.invert(linalg.transpose(u), ONE, ZERO),
                      linalg.transpose([list(v) for v in rf.basis]))
-    return [[LaurentZ(SCALARS, {-(rb.weights[i] + rf.weights[j]): c[i][j]})
+    return [[LaurentPoly(1, {(-(rb.weights[i] + rf.weights[j]),): c[i][j]})
              for j in range(n)] for i in range(n)]
 
 
@@ -309,8 +309,8 @@ def test_rees_p1_hands_over_the_determinant(rng, monkeypatch):
     assert calls == []
     # det_ring as the oracle: det G is a unit at the exponent handed in
     for (fs, gs, _), bundle in zip(cases, bundles):
-        det = real(bundle.entries, LaurentZ.one(SCALARS), LaurentZ.zero(SCALARS))
-        assert det.is_monomial() and not det.is_zero
-        assert next(iter(det.terms)) == bundle.det_exp
+        det = real(bundle.entries, LaurentPoly.one(1), LaurentPoly.zero(1))
+        assert det.is_unit and not det.is_zero
+        assert next(iter(det.terms))[0] == bundle.det_exp
         assert bundle.det_exp == -(sum(build_rees(fs).weights)
                                    + sum(build_rees(gs).weights))

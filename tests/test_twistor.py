@@ -15,7 +15,8 @@ from hodgekit.twistor import (QuaternionicSpace, RealLinearOp, SectionO1,
                               sigma_section, sphere_combination, stereographic,
                               structure_at, structure_at_closed, twistor_bundle)
 
-from hodgekit.univariate import LaurentZ, RatFunc, SCALARS
+from hodgekit.laurent import LaurentPoly
+from hodgekit.univariate import RatFunc
 
 from conftest import gauss, sc
 
@@ -202,8 +203,8 @@ def elimination_transition(qs):
             k = len(rf.den) - 1
             assert all(c.is_zero for c in rf.den[:-1])
             lead = rf.den[-1].inv()
-            out[-1].append(LaurentZ(SCALARS, {t - k: c * lead
-                                              for t, c in enumerate(rf.num)}))
+            out[-1].append(LaurentPoly(1, {(t - k,): c * lead
+                                           for t, c in enumerate(rf.num)}))
     return out
 
 
@@ -296,7 +297,7 @@ def test_twistor_bundle_hands_over_the_determinant(monkeypatch):
     assert calls == []
     # det_ring as the oracle: det G = det(-i conj J_m) z^-n, a unit
     for qs, b in zip(spaces, bundles):
-        det = real(b.entries, LaurentZ.one(SCALARS), LaurentZ.zero(SCALARS))
-        assert det.is_monomial() and not det.is_zero
-        assert b.det_exp == next(iter(det.terms)) == -qs.dim
+        det = real(b.entries, LaurentPoly.one(1), LaurentPoly.zero(1))
+        assert det.is_unit and not det.is_zero
+        assert b.det_exp == next(iter(det.terms))[0] == -qs.dim
         assert splitting_type(b) == [1] * qs.dim
