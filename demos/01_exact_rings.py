@@ -36,7 +36,7 @@ print("rank [[1, i], [-i, 1]] =", rank(m))
 # %% minors come in a fixed lexicographic order, so outputs are replayable
 mat = [[t1, LaurentPoly.one(2)], [LaurentPoly.one(2), LaurentPoly.var(2, 0, -1)]]
 print("2x2 minors of [[t1, 1], [1, 1/t1]]:",
-      [str(x) for x in minors(mat, 2, LaurentPoly.one(2), LaurentPoly.zero(2))])
+      [str(x) for x in minors(mat, 2, LaurentPoly.one(2))])
 
 # %% Smith normal form with its unimodular witnesses
 e = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]

@@ -7,8 +7,8 @@
 # as a certificate.
 
 # %%
-from hodgekit import (P1Bundle, SCALARS, LaurentPoly,
-                      factorization_certificate, h0_twist, splitting_type)
+from hodgekit import (P1Bundle, LaurentPoly, factorization_certificate,
+                      h0_twist, splitting_type)
 from hodgekit import linalg
 
 
@@ -19,11 +19,11 @@ def lz(d):
 Z0 = LaurentPoly.zero(1)
 
 # %% the convention: O(a) is the 1x1 transition z^(-a)
-print("h0(O(1)) =", h0_twist(P1Bundle(SCALARS, [[lz({-1: 1})]]), 0))
-print("h0(O(-1)) =", h0_twist(P1Bundle(SCALARS, [[lz({1: 1})]]), 0))
+print("h0(O(1)) =", h0_twist(P1Bundle([[lz({-1: 1})]]), 0))
+print("h0(O(-1)) =", h0_twist(P1Bundle([[lz({1: 1})]]), 0))
 
 # %% an extension that looks unbalanced but splits evenly
-g = P1Bundle(SCALARS, [[lz({1: 1}), lz({0: 1})], [Z0, lz({-1: 1})]])
+g = P1Bundle([[lz({1: 1}), lz({0: 1})], [Z0, lz({-1: 1})]])
 print("[[z, 1], [0, 1/z]] splits as", splitting_type(g))
 
 # %% h0 of every twist is determined by the splitting type
@@ -40,7 +40,7 @@ print("D diagonal exponents:",
       [next(iter(dmat[k][k].terms))[0] for k in range(2)])
 
 # %% a scrambled diagonal still reports its hidden exponents
-scramble = P1Bundle(SCALARS, [
+scramble = P1Bundle([
     [lz({-2: 1}), lz({0: 3, 1: 1})],
     [Z0, lz({1: 1})],
 ])

@@ -6,7 +6,7 @@ from .errors import HodgekitError, InternalInvariantError, PreconditionError
 from .scalars import Scalar, conj, format_scalar, parse_scalar
 from .laurent import LaurentPoly, eval_character
 from .linalg import minors, rank, smith_normal_form
-from .univariate import Field, RatFunc, RATFUNC_S, SCALARS
+from .univariate import RatFunc
 from .birkhoff import (P1Bundle, factorization_certificate, h0_twist,
                        section_basis, splitting_type)
 from .rees import (FilteredSpace, PurityReport, ReesModule, build_rees,

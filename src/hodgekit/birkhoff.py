@@ -1,20 +1,20 @@
 """Splitting types of algebraic vector bundles on the projective line.
 
 A bundle is presented by its transition matrix G(z) between the two
-standard charts, rank-1 ``LaurentPoly`` entries in z over a ``Field``
-(``SCALARS`` or ``RATFUNC_S``); the determinant must be a unit (nonzero
-constant times a power of z).  Convention, fixed here and inherited
+standard charts, rank-1 ``LaurentPoly`` entries in z over ``Scalar``
+(Q(i), or Q(zeta_n)); the determinant must be a unit (nonzero constant
+times a power of z).  Convention, fixed here and inherited
 everywhere else: the line bundle O(a) has the 1x1 transition z^(-a), so
 h0(O(a)) = max(0, a+1).
 
 The constructor checks the unit determinant by expanding it, an O(2^n n)
-column-subset sum, and keeps only its exponent.  Four constructions fix
+column-subset sum, and keeps only its exponent.  Three constructions fix
 the determinant themselves and hand the exponent to ``P1Bundle._trusted``:
 the Rees gluing diag(z^-q) C diag(z^-p) with C invertible (exponent
--(sum p + sum q)), the twistor bundle z^-1 (-i conj J_m) (exponent -n),
-the fibers N(z, s0) / q(s0) of a Langton disk family and its numerator N
-over K(s) (the family's own exponent).  Bundles read from input, and those
-handed to ``invert_unimodular``, keep the check.
+-(sum p + sum q)), the twistor bundle z^-1 (-i conj J_m) (exponent -n)
+and the fibers N(z, s0) / q(s0) of a Langton disk family (the family's
+own exponent).  Bundles read from input, and those handed to
+``invert_unimodular``, keep the check.
 
 The splitting type comes from column reduction (Grothendieck 1957;
 Wolovich 1974).  Let d_j be the top z-exponent of column j and L the matrix
@@ -24,7 +24,9 @@ z^(d_j-d_k) col_k (j the support index of largest d_j), and d_j drops.
 The top coefficient of det G is det L, so sum(d) >= det_exp with equality
 exactly when L is invertible: at most sum(d) - det_exp steps, the budget.
 Then G U = H diag(z^d) with H in GL_n(K[1/z]), the Birkhoff factorisation,
-so the exponents a_j = -d_j are exact and unique over any field.  The
+so the exponents a_j = -d_j are exact and unique over any field.
+``_column_reduce`` takes the field's one and zero, so Langton's generic
+fiber runs it over K(s) directly (``langton.generic_splitting``).  The
 same reduction certifies itself: logging its column operations gives U and
 U^(-1), hence the factorization G = A D C with A = H, D = diag(z^d) and
 C = U^(-1) (Beckermann-Labahn-Villard 2006), checked by re-multiplication.
@@ -51,7 +53,7 @@ import functools
 from .errors import PreconditionError, InternalInvariantError
 from . import linalg
 from .laurent import LaurentPoly
-from .univariate import Field
+from .scalars import Scalar
 
 
 def _top_exp(vec):
@@ -67,19 +69,18 @@ class P1Bundle:
     construction fixes the determinant come from ``_trusted`` instead.
     """
 
-    def __init__(self, field: Field, entries):
-        self._shape(field, entries)
-        det = linalg.det_ring(self.entries, LaurentPoly.constant(1, field.one),
-                              LaurentPoly.zero(1))
+    def __init__(self, entries):
+        self._shape(entries)
+        det = linalg.det_ring(self.entries, LaurentPoly.one(1))
         if not det.is_unit:
             raise PreconditionError("transition determinant is not a unit")
         self.det_exp = next(iter(det.terms))[0]
 
     @staticmethod
-    def _trusted(field, entries, det_exp):
+    def _trusted(entries, det_exp):
         """The bundle with transition ``entries`` whose determinant the
         construction fixes as a nonzero constant times z^det_exp; no
-        determinant is expanded.  The four constructions that hand one in:
+        determinant is expanded.  The three constructions that hand one in:
 
         * ``rees.rees_p1``: G = diag(z^-q) C diag(z^-p), with C = U^(-1) V
           invertible because ``solve`` found U X = V consistent for a basis
@@ -88,44 +89,42 @@ class P1Bundle:
           because J_m conj(J_m) = -1, so det_exp = -n;
         * ``langton.DiskFamily.fiber_at``: N(z, s0) / q(s0), whose
           determinant (det N)(z, s0) / q(s0)^n it checks to be nonzero, at
-          the family's det_exp;
-        * ``langton.generic_splitting``: the numerator N over K(s), whose
-          determinant det N = c(s) z^det_exp with c != 0, checked when the
-          family was built, is a unit over K(s).
+          the family's det_exp.
         """
         out = object.__new__(P1Bundle)
-        out._shape(field, entries)
+        out._shape(entries)
         out.det_exp = det_exp
         return out
 
-    def _shape(self, field, entries):
+    def _shape(self, entries):
         n = len(entries)
         if n == 0:
             raise PreconditionError("transition matrix must have rank >= 1")
         if any(len(row) != n for row in entries):
             raise PreconditionError("transition matrix must be square")
-        self.field = field
         self.n = n
         self.entries = [list(r) for r in entries]
 
     @functools.cached_property
     def reduction(self):
         """(columns, d, log) of the column reduction, run on first use."""
-        return _column_reduce(self.field, list(zip(*self.entries)), self.det_exp)
+        return _column_reduce(list(zip(*self.entries)), self.det_exp,
+                              Scalar.one(), Scalar.zero())
 
     def __repr__(self):
         return f"P1Bundle(n={self.n}, det=z^{self.det_exp})"
 
 
-def _column_reduce(field, cols, dd):
-    """Column reduction (see the module docstring) of the matrix over
-    ``field`` with columns ``cols`` and determinant degree ``dd``.
+def _column_reduce(cols, dd, one, zero):
+    """Column reduction (see the module docstring) of the matrix with
+    columns ``cols`` and determinant degree ``dd``, over the field whose
+    one and zero are ``one`` and ``zero``.
 
     Returns the reduced columns, their top exponents d_j and the log of
     column operations: each entry (j, [(k, shift, factor), ...]) replaced
     col_j by the sum of factor * z^shift * col_k, with the k = j term 1.
     """
-    n, zero, cols = len(cols), field.zero, list(cols)
+    n, cols = len(cols), list(cols)
     deg = [_top_exp(col) for col in cols]
     budget = sum(deg) - dd
     log = []
@@ -134,7 +133,7 @@ def _column_reduce(field, cols, dd):
             break
         lead = [[cols[j][i].coeff((deg[j],), zero) for j in range(n)]
                 for i in range(n)]
-        alpha = linalg.kernel_vector(lead, field.one, zero)
+        alpha = linalg.kernel_vector(lead, one, zero)
         if alpha is None:
             raise InternalInvariantError(
                 "invertible leading coefficients above the determinant degree")
@@ -168,7 +167,7 @@ def splitting_type(bundle: P1Bundle):
     return sorted((-d for d in deg), reverse=True)
 
 
-def _reduced_frame(field, reduction, inverse):
+def _reduced_frame(reduction, inverse):
     """(A, d, V) from one column reduction G U = A diag(z^d): A lies in
     GL_n(K[1/z]), U in GL_n(K[z]) is the product of the logged column
     operations, and V is U, or U^(-1) when ``inverse`` (each logged step
@@ -176,8 +175,7 @@ def _reduced_frame(field, reduction, inverse):
     cols, deg, log = reduction
     n = len(cols)
     amat = [[cols[j][i].shift((-deg[j],)) for j in range(n)] for i in range(n)]
-    mat = linalg.identity(n, LaurentPoly.constant(1, field.one),
-                          LaurentPoly.zero(1))
+    mat = linalg.identity(n, LaurentPoly.one(1), LaurentPoly.zero(1))
     for j, ops in log:
         for k, shift, f in ops:
             if k == j:
@@ -199,7 +197,7 @@ def h0_twist(bundle: P1Bundle, m: int) -> int:
 def section_basis(bundle, m):
     """Basis of H0(B(m)) as vectors of entries polynomial in z: the
     z^k u_j with 0 <= k <= m - d_j, u_j column j of U (module docstring)."""
-    _, deg, umat = _reduced_frame(bundle.field, bundle.reduction, inverse=False)
+    _, deg, umat = _reduced_frame(bundle.reduction, inverse=False)
     return [[row[j].shift((k,)) for row in umat]
             for j, d in enumerate(deg) for k in range(m - d + 1)]
 
@@ -209,31 +207,31 @@ def _flip(x):
     return LaurentPoly._trusted(1, {(-e,): c for (e,), c in x.terms.items()})
 
 
-def _inverse_frame(field, amat):
+def _inverse_frame(amat):
     """A^(-1) for A in GL_n(K[1/z]) with constant determinant, from the
     column reduction of A(1/w) (module docstring): A V = K0, and K0^(-1)
     is applied by combining the columns of V with scalar factors."""
-    n = len(amat)
-    k0, _, vmat = _reduced_frame(field, _column_reduce(
-        field, [[_flip(row[j]) for row in amat] for j in range(n)], 0),
+    n, one, zero = len(amat), Scalar.one(), Scalar.zero()
+    k0, _, vmat = _reduced_frame(_column_reduce(
+        [[_flip(row[j]) for row in amat] for j in range(n)], 0, one, zero),
         inverse=False)
-    kinv = linalg.invert([[x.coeff((0,), field.zero) for x in row]
-                          for row in k0], field.one, field.zero)
-    zero = LaurentPoly.zero(1)
+    kinv = linalg.invert([[x.coeff((0,), zero) for x in row] for row in k0],
+                         one, zero)
+    lzero = LaurentPoly.zero(1)
     return [[_flip(sum((x.scale(c[j]) for x, c in zip(row, kinv)
-                        if not c[j].is_zero), zero)) for j in range(n)]
+                        if not c[j].is_zero), lzero)) for j in range(n)]
             for row in vmat]
 
 
-def invert_unimodular(mat, field):
+def invert_unimodular(mat):
     """Inverse of a matrix G with constant unit determinant, in the same
     chart ring: G U = A diag(z^d) from G's column reduction, so
     G^(-1) = U diag(z^(-d)) A^(-1) (module docstring)."""
-    bundle = P1Bundle(field, mat)  # refuses a non-unit determinant
+    bundle = P1Bundle(mat)  # refuses a non-unit determinant
     if bundle.det_exp:
         raise PreconditionError("matrix determinant is not a unit constant")
-    amat, deg, umat = _reduced_frame(field, bundle.reduction, inverse=False)
-    ainv = _inverse_frame(field, amat)
+    amat, deg, umat = _reduced_frame(bundle.reduction, inverse=False)
+    ainv = _inverse_frame(amat)
     return linalg.mat_mul(umat, [[x.shift((-d,)) for x in row]
                                  for row, d in zip(ainv, deg)])
 
@@ -247,10 +245,10 @@ def factorization_certificate(bundle: P1Bundle):
     column reduction behind ``splitting_type``: G U = A D, and C = U^(-1).
     The product is re-multiplied before it is returned.
     """
-    n, field = bundle.n, bundle.field
-    amat, deg, cmat = _reduced_frame(field, bundle.reduction, inverse=True)
+    n = bundle.n
+    amat, deg, cmat = _reduced_frame(bundle.reduction, inverse=True)
     zero = LaurentPoly.zero(1)
-    dmat = [[LaurentPoly.monomial(1, (deg[i],), field.one) if i == j else zero
+    dmat = [[LaurentPoly.monomial(1, (deg[i],), 1) if i == j else zero
              for j in range(n)] for i in range(n)]
     recon = linalg.mat_mul(linalg.mat_mul(amat, dmat), cmat)
     if not linalg.mat_eq(recon, bundle.entries):

@@ -95,7 +95,7 @@ def _rings(verb, data, seed):
         rows = jsonio.laurent_matrix_from_json(rank_a, data["matrix"])
         from .laurent import LaurentPoly
         mins = linalg.minors(rows, jsonio.integer_from_json(data["k"]),
-                             LaurentPoly.one(rank_a), LaurentPoly.zero(rank_a))
+                             LaurentPoly.one(rank_a))
         return {"minors": [jsonio.laurent_to_json(q) for q in mins]}
     if verb == "snf":
         _need(data, "matrix")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .scalars import Scalar, format_scalar, parse_scalar
 from .laurent import LaurentPoly
-from .univariate import RatFunc, RATFUNC_S, SCALARS
+from .univariate import RatFunc
 from .birkhoff import P1Bundle
 from .rees import FilteredSpace, ReesModule
 from .twistor import QuaternionicSpace, SectionO1
@@ -155,21 +155,19 @@ def _zpoly_from_json(data, tag, key):
 
 
 def bundle_to_json(b: P1Bundle):
-    tag = b.field.tag
-    return {"rank": b.n, "var": "z", "field": tag,
-            "entries": [[zpoly_to_json(e, tag) for e in row]
+    return {"rank": b.n, "var": "z", "field": "gaussian",
+            "entries": [[zpoly_to_json(e, "gaussian") for e in row]
                         for row in b.entries]}
 
 
 def bundle_from_json(d) -> P1Bundle:
     tag = d.get("field", "gaussian")
-    if tag not in ("gaussian", "ratfun_s"):
+    if tag != "gaussian":
         raise PreconditionError(f"unknown coefficient field {tag!r}")
-    field = SCALARS if tag == "gaussian" else RATFUNC_S
     entries = [[zpoly_from_json(e, tag) for e in row] for row in d["entries"]]
     if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("bundle rank disagrees with entry count")
-    return P1Bundle(field, entries)
+    return P1Bundle(entries)
 
 
 # -- filtrations ----------------------------------------------------------

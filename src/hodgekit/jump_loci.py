@@ -113,8 +113,7 @@ def jump_ideal(p: CWPresentation, k: int):
     if size > p.l:
         # rank never exceeds l, so the condition is vacuous
         return [LaurentPoly.zero(p.a)]
-    mins = linalg.minors(p.rows(), size,
-                         LaurentPoly.one(p.a), LaurentPoly.zero(p.a))
+    mins = linalg.minors(p.rows(), size, LaurentPoly.one(p.a))
     seen = set()
     out = []
     for q in mins:

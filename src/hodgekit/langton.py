@@ -29,7 +29,9 @@ no determinant is expanded and no gcd is taken.  L and R lie in
 Q(i)[s^+-][z^+-] and need no denominator.  ``RatFunc`` appears only where
 a family enters (``DiskFamily(entries)``), in the normal-form ``entries``
 view and certificates written on output (``to_ks``, rank-1 ``LaurentPoly``
-in z over K(s)), and in the K(s) fallback below.
+in z over K(s)), and in the K(s) fallback below, which runs the column
+reduction of ``birkhoff`` on N over K(s) without building a bundle: every
+``P1Bundle`` is over Q(i).
 
 The precondition that the generic fiber is balanced is certified by
 specialisation: h0 is upper semicontinuous in s, so a balanced splitting
@@ -48,10 +50,10 @@ from fractions import Fraction
 from .errors import PreconditionError, InternalInvariantError
 from .scalars import Scalar, pdivmod, pgcd, pmul
 from . import linalg
-from .birkhoff import (P1Bundle, _inverse_frame, _reduced_frame,
-                       splitting_type)
+from .birkhoff import (P1Bundle, _column_reduce, _inverse_frame,
+                       _reduced_frame, splitting_type)
 from .laurent import LaurentPoly
-from .univariate import RatFunc, RATFUNC_S, SCALARS
+from .univariate import RatFunc
 
 # the polynomial 1 in s, dense
 _ONE = (Scalar.one(),)
@@ -123,7 +125,7 @@ class DiskFamily:
             if c.den != _ONE and c.den != q:
                 q = _lcm(q, c.den)
         num = [[_numerator(e, q) for e in row] for row in entries]
-        det = linalg.det_ring(num, LaurentPoly.one(2), LaurentPoly.zero(2))
+        det = linalg.det_ring(num, LaurentPoly.one(2))
         if det.is_zero or len({k for k, _ in det.terms}) != 1:
             raise PreconditionError("family determinant is not a unit in z")
         if not any(j == 0 for _, j in det.terms):
@@ -184,7 +186,7 @@ class DiskFamily:
                      for row in fiber]
         # det = (det N)(z, s0) / q(s0)^n, nonzero at z^det_exp as just checked
         return P1Bundle._trusted(
-            SCALARS, [[LaurentPoly._trusted(1, x) for x in row] for row in fiber],
+            [[LaurentPoly._trusted(1, x) for x in row] for row in fiber],
             self.det_exp)
 
     @functools.cached_property
@@ -221,12 +223,14 @@ class StepCertificate:
 
 
 def generic_splitting(family: DiskFamily):
-    """The splitting type over K(s); the scalar 1/q does not change it, so
-    N is reduced directly.  det N = c(s) z^det_exp with c != 0 is a unit
-    over K(s), so no determinant is expanded."""
-    return splitting_type(P1Bundle._trusted(
-        RATFUNC_S, [[to_ks(x) for x in row] for row in family.num],
-        family.det_exp))
+    """The splitting type over K(s), by ``birkhoff._column_reduce`` over
+    K(s).  The scalar 1/q does not change it, so the columns of N are
+    reduced directly, at the family's det_exp: det N = c(s) z^det_exp with
+    c != 0 is a unit over K(s), so no determinant is expanded."""
+    _, deg, _ = _column_reduce(
+        [[to_ks(x) for x in col] for col in zip(*family.num)],
+        family.det_exp, RatFunc([1]), RatFunc([]))
+    return sorted((-d for d in deg), reverse=True)
 
 
 def special_splitting(family: DiskFamily):
@@ -325,15 +329,14 @@ def _step(family):
 
     for _ in range(_MAX_PASSES):
         # T|_(s=0) = A0 D U^(-1) with D_jj = z^(d_j) = z^(-a_j)
-        a0, deg, u = _reduced_frame(SCALARS, current.special.reduction,
-                                    inverse=False)
+        a0, deg, u = _reduced_frame(current.special.reduction, inverse=False)
         exps = [-d for d in deg]
         avg = Fraction(sum(exps), n)
         delta = [1 if a < avg else 0 for a in exps]
         if not any(delta) or all(delta):
             raise InternalInvariantError("destabilizing index set must be proper")
 
-        a0_inv = _lift(_inverse_frame(SCALARS, a0))
+        a0_inv = _lift(_inverse_frame(a0))
         c0_inv = _lift(u)
         t1 = linalg.mat_mul(linalg.mat_mul(a0_inv, current.num), c0_inv)
         v = _block_valuation(t1, delta)

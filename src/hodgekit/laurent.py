@@ -5,11 +5,12 @@ as a map from integer exponent tuples to coefficients.  Units are exactly
 the single-term elements.  One class serves every rank hodgekit uses:
 rank 1 is the chart coordinate z of a bundle on P^1 and the parameter of
 an arc, rank 2 is Langton's (z, s), and rank a is the character torus of
-the jump loci.  Coefficients are ``Scalar`` or ``univariate.RatFunc``.
-The class never invents a zero or a one of its field (``univariate.Field``
-carries those), so ints and Fractions are the only coefficients it
-coerces, and it adds, hashes and scales through the coefficients' own
-operations.
+the jump loci.  Coefficients are ``Scalar``, or ``univariate.RatFunc`` for
+Langton's families in z over K(s).  The class never invents a zero or a
+one of its coefficient field (callers that need them, such as
+``birkhoff._column_reduce``, take them as arguments), so ints and
+Fractions are the only coefficients it coerces, and it adds, hashes and
+scales through the coefficients' own operations.
 """
 
 from __future__ import annotations

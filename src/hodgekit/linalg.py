@@ -236,7 +236,7 @@ def invert(m, one, zero):
 # -- determinants over a commutative ring (no division) ------------------
 
 
-def det_ring(m, one, zero):
+def det_ring(m, one):
     """Determinant by column-subset expansion; valid over any ring."""
     rows, cols = dims(m)
     if rows != cols:
@@ -269,7 +269,7 @@ def det_ring(m, one, zero):
     return only
 
 
-def minors(m, k, one, zero):
+def minors(m, k, one):
     """All k-by-k minors in lexicographic (row-set, column-set) order."""
     rows, cols = dims(m)
     if k < 1 or k > min(rows, cols):
@@ -278,7 +278,7 @@ def minors(m, k, one, zero):
     for rset in combinations(range(rows), k):
         for cset in combinations(range(cols), k):
             sub = [[m[i][j] for j in cset] for i in rset]
-            out.append(det_ring(sub, one, zero))
+            out.append(det_ring(sub, one))
     return out
 
 

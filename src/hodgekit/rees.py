@@ -18,7 +18,6 @@ from .errors import PreconditionError
 from . import linalg
 from .scalars import Scalar
 from .laurent import LaurentPoly
-from .univariate import SCALARS
 from .birkhoff import P1Bundle, splitting_type
 
 
@@ -200,6 +199,9 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
     rf, rb = fs.rees, fs_bar.rees
     ubasis = [list(v) for v in rb.basis]
     if pairing is not None:
+        if len(pairing) != n:
+            raise PreconditionError(
+                f"pairing must be {n}x{n}, got {len(pairing)} rows")
         pmat = _as_scalar_rows(pairing, n)
         ubasis = [
             [sum((pmat[i][k] * v[k].conj() for k in range(n)), Scalar.zero())
@@ -218,7 +220,7 @@ def rees_p1(fs: FilteredSpace, fs_bar: FilteredSpace, pairing=None):
     entries = [[LaurentPoly._trusted(1, {(-(q[i] + p[j]),): c} if c else {})
                 for j, c in enumerate(row)] for i, row in enumerate(cinv)]
     # det G = det C z^-(sum p + sum q), C invertible by the solve above
-    bundle = P1Bundle._trusted(SCALARS, entries, -(sum(p) + sum(q)))
+    bundle = P1Bundle._trusted(entries, -(sum(p) + sum(q)))
     exps = splitting_type(bundle)
     pure = all(e == exps[0] for e in exps)
     report = PurityReport(splitting=tuple(exps), pure=pure,

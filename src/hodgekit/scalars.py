@@ -309,23 +309,30 @@ class Scalar:
             return not self._b
         return all(c == 0 for c in self._coeffs[1:])
 
-    def as_rational(self):
-        if not self.is_rational():
-            raise PreconditionError("value is not rational")
-        return self.re if self.is_gaussian else self._coeffs[0]
-
     def key(self):
-        """Canonical hashable form, stable across equal values."""
+        """Canonical hashable form, stable across equal values: a value of
+        Q(i), in whatever field it is written, keys as its gaussian triple."""
         if self.is_gaussian:
             return ("g", self._a, self._b, self._d)
         if self.is_rational():
             return ("g",) + _triple(self._coeffs[0], Fraction(0))
-        if self._order == 4:
-            return ("g",) + _triple(self._coeffs[0], self._coeffs[1])
+        if self._order % 4 == 0:
+            # the only candidate re + im*i, with i = zeta^(n/4)
+            i_coeffs = _power_basis(self._order, self._order // 4)
+            k = next(k for k, c in enumerate(i_coeffs) if k and c)
+            im = self._coeffs[k] / i_coeffs[k]
+            g = Scalar.gaussian(self._coeffs[0] - im * i_coeffs[0], im)
+            if g._to_order(self._order)._coeffs == self._coeffs:
+                return g.key()
         return ("c", self._order, self._coeffs)
 
     def __hash__(self):
-        return hash(self.key())
+        # a rational hashes like its Fraction (and an integer like its int),
+        # since it compares equal to both
+        key = self.key()
+        if key[0] == "g" and not key[2]:
+            return hash(key[1]) if key[3] == 1 else hash(Fraction(key[1], key[3]))
+        return hash(key)
 
     # ---- coercion
 
@@ -481,10 +488,9 @@ class Scalar:
         try:
             a, b = Scalar._coerce(self, other)
         except PreconditionError:
-            # Different cyclotomic fields only share the rationals.
-            if self.is_rational() and other.is_rational():
-                return self.as_rational() == other.as_rational()
-            return False
+            # Different cyclotomic fields: the canonical keys compare the
+            # rationals, and the values of Q(i) when 4 divides both orders.
+            return self.key() == other.key()
         if a.is_gaussian:
             return a == b
         return a._coeffs == b._coeffs

@@ -22,7 +22,6 @@ from . import linalg
 from .birkhoff import P1Bundle
 from .scalars import Scalar
 from .laurent import LaurentPoly
-from .univariate import SCALARS
 
 
 def _conj_mat(m):
@@ -290,7 +289,7 @@ def twistor_bundle(qs: QuaternionicSpace) -> P1Bundle:
     entries = [[LaurentPoly(1, {(-1,): minus_i * x.conj()}) for x in row]
                for row in qs.jm]
     # det G = det(-i conj J_m) z^-n, and J_m conj(J_m) = -1 makes J_m invertible
-    return P1Bundle._trusted(SCALARS, entries, -n)
+    return P1Bundle._trusted(entries, -n)
 
 
 # -- quadratic maps equivariant for the structures ------------------------

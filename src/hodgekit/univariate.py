@@ -1,35 +1,20 @@
-"""Rational functions of the disk parameter s, and the coefficient fields.
+"""Rational functions of the disk parameter s.
 
 ``RatFunc`` is a normalized rational function over ``Scalar``, built on the
 dense-polynomial layer of ``scalars`` (``ptrim``, ``padd``, ``pneg``,
 ``pmul``, ``pdivmod``, ``pgcd``); it models functions of s that stay exact
-under every operation.  Laurent polynomials in the chart coordinate z are
-rank-1 ``laurent.LaurentPoly`` with ``Scalar`` or ``RatFunc`` coefficients.
-
-A tiny ``Field`` tag object carries the zero/one elements and the wire tag
-of those two coefficient fields (``SCALARS``, ``RATFUNC_S``) around, so
-that generic elimination code never needs to invent constants.
+under every operation.  It is the coefficient field K(s) of Langton's disk
+families: their entries and certificates on the wire are rank-1
+``laurent.LaurentPoly`` in z over ``RatFunc``, and their generic splitting
+type is a column reduction over K(s).  Bundles on P^1 are over ``Scalar``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import PreconditionError
 from .scalars import Scalar, padd, pdivmod, pgcd, pmul, pneg, power, ptrim
-
-
-class Field:
-    """Carrier of zero/one plus a wire-format tag."""
-
-    def __init__(self, zero, one, tag):
-        self.zero = zero
-        self.one = one
-        self.tag = tag
-
-    def __repr__(self):
-        return f"Field({self.tag})"
-
-
-SCALARS = Field(Scalar.zero(), Scalar.one(), "gaussian")
 
 
 class RatFunc:
@@ -43,8 +28,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        """num/den from coefficient lists in ascending order; ``den=None``
+        means 1, and an empty ``den`` is the zero polynomial."""
         num = ptrim([c if isinstance(c, Scalar) else Scalar.rational(c) for c in num])
-        den = ptrim([c if isinstance(c, Scalar) else Scalar.rational(c) for c in (den or [1])])
+        den = ptrim([c if isinstance(c, Scalar) else Scalar.rational(c)
+                     for c in ([1] if den is None else den)])
         if not den:
             raise PreconditionError("rational function with zero denominator")
         if not num:
@@ -143,8 +131,10 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((tuple(c.key() for c in self.num),
-                     tuple(c.key() for c in self.den)))
+        # a constant hashes like the Scalar it equals
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return hash(self.num[0] if self.num else Scalar.zero())
+        return hash((self.num, self.den))
 
     def regular_at_zero(self):
         return not self.den[0].is_zero
@@ -170,7 +160,7 @@ class RatFunc:
 def _rf(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, Scalar) or isinstance(x, int):
+    if isinstance(x, (Scalar, int, Fraction)):
         return RatFunc([x])
     raise TypeError(f"cannot coerce {type(x)} to RatFunc")
 
@@ -190,5 +180,3 @@ def _fmt_poly(c):
     return " + ".join(f"({x})*s^{k}" if k else f"({x})"
                       for k, x in enumerate(c) if not x.is_zero)
 
-
-RATFUNC_S = Field(RatFunc([]), RatFunc([1]), "ratfun_s")

@@ -29,7 +29,7 @@ from hodgekit.twistor import (QuaternionicSpace, RealLinearOp,
                               quaternionic_sff_space, sigma_section,
                               sphere_combination, stereographic, structure_at,
                               structure_at_closed, twistor_bundle)
-from hodgekit.univariate import RatFunc, SCALARS
+from hodgekit.univariate import RatFunc
 
 from conftest import basis_vec, gauss, lzg, lzs, sc
 
@@ -355,10 +355,10 @@ def test_criterion_9_birkhoff_self_consistency():
         diag = [[LaurentPoly.monomial(1, (-a,), 1) if i == j
                  else LaurentPoly.zero(1) for j in range(n)]
                 for i, a in enumerate(exps)]
-        left = random_unimodular_z(rng, SCALARS, n, chart=-1, ops=4)
-        right = random_unimodular_z(rng, SCALARS, n, chart=+1, ops=4)
+        left = random_unimodular_z(rng, n, chart=-1, ops=4)
+        right = random_unimodular_z(rng, n, chart=+1, ops=4)
         g = linalg.mat_mul(linalg.mat_mul(left, diag), right)
-        b = P1Bundle(SCALARS, g)
+        b = P1Bundle(g)
         assert splitting_type(b) == exps
         assert sum(exps) == -b.det_exp
     _report(9, "Birkhoff construct-then-recover, 200 products")

@@ -231,6 +231,30 @@ def test_langton_rank_zero_is_a_precondition(verb, capsys):
                    "reason": "family matrix must have rank >= 1"}
 
 
+def test_empty_denominator_is_refused(capsys):
+    # den [] is the zero polynomial, not 1
+    family = {"family": {"rank": 1, "entries": [[[
+        {"zexp": 0, "coeff": {"num": ["1"], "den": []}}]]]}}
+    assert cli.main(["langton", "generic", "--inline", json.dumps(family)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "precondition",
+        "reason": "rational function with zero denominator"}
+
+
+LINE = {"dim": 1, "steps": [{"p": 0, "basis": [["1"]]}]}
+
+
+@pytest.mark.parametrize("pairing,reason", [
+    ([["1"], ["2"]], "pairing must be 1x1, got 2 rows"),
+    ([["1", "2"]], "vector length 2 != dim 1"),
+])
+def test_rees_glue_refuses_a_pairing_of_the_wrong_shape(pairing, reason, capsys):
+    request = {"F": LINE, "Fbar": LINE, "pairing": pairing}
+    assert cli.main(["rees", "glue", "--inline", json.dumps(request)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "precondition", "reason": reason}
+
+
 def run_cli_process(argv):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from hodgekit import jsonio
+from hodgekit.errors import PreconditionError
 from hodgekit.laurent import LaurentPoly
 from hodgekit.rees import FilteredSpace, build_rees
 from hodgekit.scalars import Scalar
@@ -35,6 +38,13 @@ def test_bundle_roundtrips():
     b = twistor_bundle(QuaternionicSpace.standard(1))
     back = roundtrip(b, jsonio.bundle_to_json, jsonio.bundle_from_json)
     assert back.n == b.n and back.entries == b.entries
+    # bundles are over Q(i): the only coefficient field a bundle reads
+    wire = jsonio.bundle_to_json(b)
+    assert wire["field"] == "gaussian"
+    for tag in ("ratfun_s", "rational"):
+        with pytest.raises(PreconditionError,
+                           match=f"^unknown coefficient field '{tag}'$"):
+            jsonio.bundle_from_json(dict(wire, field=tag))
 
     s = RatFunc.var()
     fam_entries = [[lzs({1: RatFunc([1])}), lzs({0: s})],

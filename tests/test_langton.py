@@ -6,15 +6,15 @@ import sys
 import pytest
 
 from hodgekit import cli, jsonio, langton, linalg
-from hodgekit.birkhoff import P1Bundle, splitting_type
+from hodgekit.birkhoff import splitting_type
 from hodgekit.errors import PreconditionError
 from hodgekit.langton import (DiskFamily, generic_splitting, langton_reduce,
                               langton_step, special_splitting, to_ks)
 from hodgekit.laurent import LaurentPoly
 from hodgekit.scalars import Scalar, pmul
-from hodgekit.univariate import RatFunc, RATFUNC_S
+from hodgekit.univariate import RatFunc
 
-from conftest import lzs
+from conftest import h0_by_linear_system, lzs
 
 ONE = RatFunc([1])
 Z0 = LaurentPoly.zero(1)
@@ -415,29 +415,26 @@ def test_step_hands_over_the_determinant(monkeypatch):
     calls = []
     real = linalg.det_ring
 
-    def counted(m, one, zero):
+    def counted(m, one):
         calls.append(m)
-        return real(m, one, zero)
+        return real(m, one)
     fams = [fixture_family(name) for name in DENOMINATOR_FIXTURES]
     fams += [chart_changed_family(seed) for seed in range(4)]
     for fam in fams:
         steps = walk(fam)
         for before, after, _ in steps:
             # det_ring only as the oracle: det N', and det T' = det N' / q^n
-            assert after.det == real(after.num, LaurentPoly.one(2),
-                                     LaurentPoly.zero(2))
+            assert after.det == real(after.num, LaurentPoly.one(2))
             qn = [Scalar.one()]
             for _ in range(after.n):
                 qn = pmul(qn, list(after.q))
-            det_t = real(after.entries, LaurentPoly.constant(1, RATFUNC_S.one),
-                         LaurentPoly.zero(1))
+            det_t = real(after.entries, LaurentPoly.constant(1, RatFunc([1])))
             assert det_t == to_ks(after.det, tuple(qn))
         # each fiber's determinant is z^det_exp (det N)(s0) / q(s0)^n
         for family in (fam, steps[-1][1]):
             for s0 in (0, 1, 3):
                 fiber = family.fiber_at(s0)
-                det = real(fiber.entries, LaurentPoly.one(1),
-                           LaurentPoly.zero(1))
+                det = real(fiber.entries, LaurentPoly.one(1))
                 s = Scalar.rational(s0)
                 det_n = sum((c * s ** j for (_, j), c in family.det.terms.items()),
                             Scalar.zero())
@@ -458,20 +455,22 @@ def test_generic_splitting_hands_over_the_determinant(monkeypatch, capsys):
     calls = []
     real = linalg.det_ring
 
-    def counted(m, one, zero):
+    def counted(m, one):
         calls.append(m)
-        return real(m, one, zero)
+        return real(m, one)
     names = sorted(p.name for p in FIXTURES.glob("langton_*.json"))
     assert len(names) == 5
     for name in names:
         fam = fixture_family(name)
-        # the oracle: the determinant-checked bundle over K(s)
-        want = splitting_type(P1Bundle(
-            RATFUNC_S, [[to_ks(x) for x in row] for row in fam.num]))
         monkeypatch.setattr(linalg, "det_ring", counted)
-        assert generic_splitting(fam) == want
+        want = generic_splitting(fam)
         monkeypatch.setattr(linalg, "det_ring", real)
         assert calls == []
+        # the oracle: h0 by linear algebra over K(s) on the window where it
+        # can jump, which pins the type down
+        for m in range(-want[0] - 1, -want[-1] + 2):
+            assert h0_by_linear_system(fam, m) == \
+                sum(max(0, a + m + 1) for a in want), (name, m)
         # through the CLI, only decoding the family expands a determinant
         monkeypatch.setattr(linalg, "det_ring", counted)
         assert cli.main(["langton", "generic", "--input",

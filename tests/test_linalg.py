@@ -136,26 +136,25 @@ def test_det_ring_matches_leibniz(rng):
         n = rng.randint(1, 4)
         m = [[Scalar.gaussian(rng.randint(-4, 4), rng.randint(-2, 2))
               for _ in range(n)] for _ in range(n)]
-        assert linalg.det_ring(m, ONE, ZERO) == idet(m)
+        assert linalg.det_ring(m, ONE) == idet(m)
 
 
 def test_minors_examples():
     one2, zero2 = LaurentPoly.one(2), LaurentPoly.zero(2)
     ident = [[one2, zero2], [zero2, one2]]
-    assert linalg.minors(ident, 2, one2, zero2) == [one2]
+    assert linalg.minors(ident, 2, one2) == [one2]
     t1 = LaurentPoly.var(1, 0)
-    one1, zero1 = LaurentPoly.one(1), LaurentPoly.zero(1)
-    assert linalg.minors([[t1 - 1]], 1, one1, zero1) == [t1 - 1]
+    assert linalg.minors([[t1 - 1]], 1, LaurentPoly.one(1)) == [t1 - 1]
     t1_2 = LaurentPoly.var(2, 0)
     mm = [[t1_2, one2], [one2, LaurentPoly.var(2, 0, -1)]]
-    got = linalg.minors(mm, 2, one2, zero2)
+    got = linalg.minors(mm, 2, one2)
     assert len(got) == 1 and got[0].is_zero
 
 
 def test_minors_lex_ordering():
     # 3x3 integer matrix; 2x2 minors must come in lex (rows, cols) order
     m = m_of([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    got = linalg.minors(m, 2, ONE, ZERO)
+    got = linalg.minors(m, 2, ONE)
     expected = []
     for rset in itertools.combinations(range(3), 2):
         for cset in itertools.combinations(range(3), 2):
@@ -166,9 +165,9 @@ def test_minors_lex_ordering():
 
 def test_minors_out_of_range():
     with pytest.raises(PreconditionError):
-        linalg.minors(m_of([[1, 2]]), 2, ONE, ZERO)
+        linalg.minors(m_of([[1, 2]]), 2, ONE)
     with pytest.raises(PreconditionError):
-        linalg.minors(m_of([[1]]), 0, ONE, ZERO)
+        linalg.minors(m_of([[1]]), 0, ONE)
 
 
 # -- Smith normal form ----------------------------------------------------

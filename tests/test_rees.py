@@ -309,7 +309,7 @@ def test_rees_p1_hands_over_the_determinant(rng, monkeypatch):
     assert calls == []
     # det_ring as the oracle: det G is a unit at the exponent handed in
     for (fs, gs, _), bundle in zip(cases, bundles):
-        det = real(bundle.entries, LaurentPoly.one(1), LaurentPoly.zero(1))
+        det = real(bundle.entries, LaurentPoly.one(1))
         assert det.is_unit and not det.is_zero
         assert next(iter(det.terms))[0] == bundle.det_exp
         assert bundle.det_exp == -(sum(build_rees(fs).weights)

@@ -297,7 +297,7 @@ def test_twistor_bundle_hands_over_the_determinant(monkeypatch):
     assert calls == []
     # det_ring as the oracle: det G = det(-i conj J_m) z^-n, a unit
     for qs, b in zip(spaces, bundles):
-        det = real(b.entries, LaurentPoly.one(1), LaurentPoly.zero(1))
+        det = real(b.entries, LaurentPoly.one(1))
         assert det.is_unit and not det.is_zero
         assert b.det_exp == next(iter(det.terms))[0] == -qs.dim
         assert splitting_type(b) == [1] * qs.dim

@@ -131,3 +131,43 @@ def test_laurent_powers_stay_non_negative():
     assert p ** 0 == LaurentPoly.one(2) and p ** 3 == p * p * p
     with pytest.raises(TypeError):
         p ** -1
+
+
+def test_empty_denominator_is_the_zero_polynomial():
+    # only den=None means 1; [] and [0] are the zero polynomial
+    for den in ([], [0], [Scalar.zero(), 0]):
+        with pytest.raises(PreconditionError, match="zero denominator"):
+            RatFunc([1], den)
+    assert RatFunc([2]) == RatFunc([2], None) == RatFunc([4], [2]) == 2
+
+
+def test_hash_agrees_with_equality():
+    # the equal forms of one value: ints, Fractions, gaussian and cyclotomic
+    # Scalars, constant RatFuncs, and constant LaurentPolys over each
+    half_i = Scalar.gaussian(Fraction(1, 2), 1)
+    forms = [
+        [0, Fraction(0), Scalar.zero(), Scalar.cyclotomic(5, [0] * 4),
+         RatFunc([]), RatFunc([0], [3])],
+        [1, Fraction(1), Scalar.one(), Scalar.zeta(3, 3), RatFunc([1]),
+         RatFunc([2], [2])],
+        [-2, Fraction(-2), Scalar.rational(-2), Scalar.cyclotomic(3, [-2, 0]),
+         RatFunc([-2]), RatFunc([Fraction(-2)])],
+        [Fraction(3, 4), Scalar.rational(Fraction(3, 4)),
+         Scalar.cyclotomic(8, [Fraction(3, 4), 0, 0, 0]), RatFunc([3], [4]),
+         RatFunc([Fraction(3, 4)])],
+        [Scalar.i(), Scalar.zeta(4), Scalar.zeta(8, 2), Scalar.zeta(12, 3),
+         RatFunc([Scalar.i()]), RatFunc([Scalar.zeta(4)]),
+         RatFunc([Scalar.zeta(8, 2)], [1])],
+        [half_i, Scalar.zeta(4) + Fraction(1, 2), Scalar.zeta(12, 3) + Fraction(1, 2),
+         RatFunc([half_i]), RatFunc([Scalar.gaussian(1, 2)], [2])],
+    ]
+    laurent = [[LaurentPoly(1, {(0,): x}) for x in group] for group in forms]
+    for groups in (forms, laurent):
+        for group in groups:
+            assert all(x == y for x in group for y in group)
+            assert len(set(group)) == 1, group
+        assert len(set(x for group in groups for x in group)) == len(groups)
+    # a value of Q(i) written in Q(zeta_n) hashes as itself, other values
+    # of Q(zeta_n) do not collapse onto Q(i)
+    assert Scalar.zeta(8) != Scalar.zeta(8, 3)
+    assert len({Scalar.zeta(8), Scalar.zeta(8, 3), Scalar.i()}) == 3
