@@ -284,7 +284,7 @@ def _langton(verb, data, seed):
         return {"family": jsonio.family_to_json(new_fam),
                 "special_before": list(record.special_type),
                 "special_after": lg.special_splitting(new_fam),
-                "certificate": _cert_json(cert)}
+                "certificate": jsonio.certificate_to_json(cert)}
     if verb == "reduce":
         out, trail, certs = lg.langton_reduce(fam)
         return {"steps": len(certs),
@@ -292,14 +292,8 @@ def _langton(verb, data, seed):
                 "trail": [{"step": r.step, "special_type": list(r.special_type)}
                           for r in trail],
                 "family": jsonio.family_to_json(out),
-                "certificates": [_cert_json(c) for c in certs]}
+                "certificates": [jsonio.certificate_to_json(c) for c in certs]}
     raise PreconditionError(f"unknown langton verb {verb!r}")
-
-
-def _cert_json(cert):
-    return {side: [[jsonio.zpoly_to_json(lg.to_ks(e), "ratfun_s")
-                    for e in row] for row in mat]
-            for side, mat in (("left", cert.left), ("right", cert.right))}
 
 
 HANDLERS = {

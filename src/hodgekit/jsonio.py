@@ -20,7 +20,7 @@ from .twistor import QuaternionicSpace, SectionO1
 from .lambda_family import HarmonicLine, HodPoint, PolySection
 from .jump_loci import CWPresentation, SubtorusParam
 from .gm_action import Arc, ProjPoint, WeightedAction
-from .langton import DiskFamily
+from .langton import DiskFamily, StepCertificate, to_ks
 
 WIRE_VERSION = 1
 
@@ -118,45 +118,30 @@ def laurent_matrix_from_json(rank, rows):
     return [[laurent_from_json(rank, e) for e in r] for r in _rows(rows)]
 
 
-# -- one-variable Laurent, gaussian or ratfun_s coefficients -------------
+# -- one-variable Laurent over Q(i) ---------------------------------------
 
 
-def _coeff_to_json(c, tag):
-    if tag == "gaussian":
-        return scalar_to_json(c)
-    return {"num": vector_to_json(list(c.num)), "den": vector_to_json(list(c.den))}
+def _zpoly(terms):
+    """The rank-1 ``LaurentPoly`` sum of c z^e over the (e, c) pairs."""
+    out = {}
+    for e, c in terms:
+        out[e] = out[e] + c if e in out else c
+    return LaurentPoly._trusted(1, {e: c for e, c in out.items() if not c.is_zero})
 
 
-def _coeff_from_json(x, tag):
-    if tag == "gaussian":
-        return scalar_from_json(x)
-    return RatFunc(vector_from_json(x["num"]), vector_from_json(x["den"]))
-
-
-def zpoly_to_json(p: LaurentPoly, tag):
+def zpoly_to_json(p: LaurentPoly):
     """A rank-1 ``LaurentPoly`` in z as a term list with int exponents."""
-    return [{"exp": e, "coeff": _coeff_to_json(c, tag)}
-            for (e,), c in p.sorted_terms()]
+    return [{"exp": e, "coeff": scalar_to_json(c)} for (e,), c in p.sorted_terms()]
 
 
-def zpoly_from_json(data, tag):
-    return _zpoly_from_json(data, tag, "exp")
-
-
-def _zpoly_from_json(data, tag, key):
-    """A term list whose int exponents are stored under ``key``."""
-    terms = {}
-    for item in data:
-        e = (integer_from_json(item[key]),)
-        c = _coeff_from_json(item["coeff"], tag)
-        terms[e] = terms[e] + c if e in terms else c
-    return LaurentPoly._trusted(1, {e: c for e, c in terms.items()
-                                    if not c.is_zero})
+def zpoly_from_json(data):
+    return _zpoly(((integer_from_json(t["exp"]),), scalar_from_json(t["coeff"]))
+                  for t in data)
 
 
 def bundle_to_json(b: P1Bundle):
     return {"rank": b.n, "var": "z", "field": "gaussian",
-            "entries": [[zpoly_to_json(e, "gaussian") for e in row]
+            "entries": [[zpoly_to_json(e) for e in row]
                         for row in b.entries]}
 
 
@@ -164,7 +149,7 @@ def bundle_from_json(d) -> P1Bundle:
     tag = d.get("field", "gaussian")
     if tag != "gaussian":
         raise PreconditionError(f"unknown coefficient field {tag!r}")
-    entries = [[zpoly_from_json(e, tag) for e in row] for row in d["entries"]]
+    entries = [[zpoly_from_json(e) for e in row] for row in d["entries"]]
     if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("bundle rank disagrees with entry count")
     return P1Bundle(entries)
@@ -280,22 +265,39 @@ def point_to_json(p: ProjPoint):
 
 
 def arc_from_json(data) -> Arc:
-    return Arc([zpoly_from_json(c, "gaussian") for c in data])
+    return Arc([zpoly_from_json(c) for c in data])
 
 
-# -- disk families --------------------------------------------------------
+# -- disk families: coefficients in K(s) as {num, den} ----------------------
+
+
+def _ks_to_json(c: RatFunc):
+    return {"num": vector_to_json(list(c.num)), "den": vector_to_json(list(c.den))}
+
+
+def _ks_from_json(x) -> RatFunc:
+    return RatFunc(vector_from_json(x["num"]), vector_from_json(x["den"]))
 
 
 def family_to_json(f: DiskFamily):
     return {"rank": f.n,
-            "entries": [[[{"zexp": k, "coeff": _coeff_to_json(c, "ratfun_s")}
+            "entries": [[[{"zexp": k, "coeff": _ks_to_json(c)}
                           for (k,), c in e.sorted_terms()] for e in row]
                         for row in f.entries]}
 
 
 def family_from_json(d) -> DiskFamily:
-    entries = [[_zpoly_from_json(e, "ratfun_s", "zexp") for e in row]
+    entries = [[_zpoly(((integer_from_json(t["zexp"]),), _ks_from_json(t["coeff"]))
+                       for t in e) for e in row]
                for row in d["entries"]]
     if len(entries) != integer_from_json(d["rank"]):
         raise PreconditionError("family rank disagrees with entry count")
     return DiskFamily(entries)
+
+
+def certificate_to_json(cert: StepCertificate):
+    """L and R of a Langton step, each entry a term list in z over K(s)."""
+    return {side: [[[{"exp": k, "coeff": _ks_to_json(c)}
+                     for (k,), c in to_ks(e).sorted_terms()] for e in row]
+                   for row in mat]
+            for side, mat in (("left", cert.left), ("right", cert.right))}

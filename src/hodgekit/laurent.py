@@ -8,9 +8,9 @@ an arc, rank 2 is Langton's (z, s), and rank a is the character torus of
 the jump loci.  Coefficients are ``Scalar``, or ``univariate.RatFunc`` for
 Langton's families in z over K(s).  The class never invents a zero or a
 one of its coefficient field (callers that need them, such as
-``birkhoff._column_reduce``, take them as arguments), so ints and
-Fractions are the only coefficients it coerces, and it adds, hashes and
-scales through the coefficients' own operations.
+``birkhoff._column_reduce``, take them as arguments), so it adds, hashes
+and scales through the coefficients' own operations.  An int, ``Fraction``
+or ``Scalar`` is compared and combined as a constant, which hashes like it.
 """
 
 from __future__ import annotations
@@ -110,24 +110,39 @@ class LaurentPoly:
         return LaurentPoly._trusted(
             self.rank, {tuple(map(add, e, exp)): c for e, c in self.terms.items()})
 
+    def _lift(self, other):
+        """An int, ``Fraction`` or ``Scalar`` as a constant of this rank;
+        None for anything else."""
+        if isinstance(other, (int, Fraction, Scalar)):
+            return LaurentPoly.constant(self.rank, other)
+        return None
+
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.rank, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         # coefficient equality is by value, so the term dicts compare directly
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            c = self.terms.get((0,) * self.rank)
+            if c is not None:
+                return hash(c)
         return hash((self.rank, frozenset(self.terms.items())))
 
     # ---- arithmetic
 
     def _check(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = LaurentPoly.constant(self.rank, other)
         if not isinstance(other, LaurentPoly):
-            raise TypeError(f"cannot combine LaurentPoly with {type(other)}")
+            lifted = self._lift(other)
+            if lifted is None:
+                raise TypeError(f"cannot combine LaurentPoly with {type(other)}")
+            return lifted
         if other.rank != self.rank:
             raise PreconditionError("rank mismatch")
         return other

@@ -2,14 +2,21 @@
 
 A quaternionic space is a complex space W of dimension 2r carrying the
 complex structure I (multiplication by i) and an antilinear J given by a
-matrix: J(v) = J_m conj(v), with J_m conj(J_m) = -1.  Real-linear
-operators are stored as pairs (P, Q) acting by w -> P w + Q conj(w),
-which makes composition, inversion and equality exact matrix algebra.
+matrix: J(v) = J_m conj(v), with J_m conj(J_m) = -1, checked when the
+space is built.  Real-linear operators are stored as pairs (P, Q) acting
+by w -> P w + Q conj(w), which makes composition and equality exact
+matrix algebra.
 
-The family of complex structures over the sphere is realised two ways
-(the direct (u, v) conjugation formula and the closed 1 - i*lambda*J
-form) and the associated bundle over P^1 is produced as an explicit
-transition matrix whose splitting type certifies weight-one purity.
+With K = I J the relations J^2 = K^2 = -1 and JK = -KJ give every inverse
+in closed form, so no linear system is inverted or solved.  The structure
+I_lambda is (1 - a)^(-1) I (1 - a), with (1 - a)^(-1) = (1 + a) / (1 + N)
+where a^2 = -N: a = uK - vJ for lambda = u + iv (the conjugation formula)
+or a = i lambda J (the closed form), N = lambda conj(lambda) for both.
+The sigma-invariant section through v at lambda0 is a + J(a) lambda with
+a = (v - lambda0 J(v)) / (1 + lambda0 conj(lambda0)).  The two forms and
+x I + y J + z K stay separate formulas, so their agreement is a check.
+The associated bundle over P^1 is an explicit transition matrix whose
+splitting type certifies weight-one purity.
 """
 
 from __future__ import annotations
@@ -26,10 +33,6 @@ from .laurent import LaurentPoly
 
 def _conj_mat(m):
     return [[x.conj() for x in row] for row in m]
-
-
-def _conj_vec(v):
-    return [x.conj() for x in v]
 
 
 def _scalar_mat(rows):
@@ -80,28 +83,13 @@ class RealLinearOp:
         return RealLinearOp([[-x for x in r] for r in self.p],
                             [[-x for x in r] for r in self.q])
 
-    def scale_rational(self, c):
-        c = Fraction(c)
-        sc = Scalar.rational(c)
-        return RealLinearOp([[x * sc for x in r] for r in self.p],
-                            [[x * sc for x in r] for r in self.q])
-
-    def doubled(self):
-        """The 2n x 2n complex matrix acting on (w, conj w)."""
-        n = self.n
-        top = [self.p[i] + self.q[i] for i in range(n)]
-        bot = [_conj_mat(self.q)[i] + _conj_mat(self.p)[i] for i in range(n)]
-        return top + bot
-
-    def inverse(self):
-        n = self.n
-        try:
-            dbl = linalg.invert(self.doubled(), Scalar.one(), Scalar.zero())
-        except PreconditionError:
-            raise InternalInvariantError("real-linear operator is singular")
-        p = [row[:n] for row in dbl[:n]]
-        q = [row[n:] for row in dbl[:n]]
-        return RealLinearOp(p, q)
+    def scale(self, c):
+        """Left multiplication by the complex scalar c (a ``Scalar`` or a
+        rational): (cP, cQ)."""
+        if not isinstance(c, Scalar):
+            c = Scalar.rational(c)
+        return RealLinearOp([[c * x for x in r] for r in self.p],
+                            [[c * x for x in r] for r in self.q])
 
     def __eq__(self, other):
         if not isinstance(other, RealLinearOp):
@@ -149,10 +137,11 @@ class QuaternionicSpace:
         return RealLinearOp.antilinear(self.jm)
 
     def op_k(self):
-        return self.op_i().compose(self.op_j())
+        # I o J sends w to i J_m conj(w)
+        return self.op_j().scale(Scalar.i())
 
     def apply_j(self, v):
-        cv = _conj_vec(list(v))
+        cv = [x.conj() for x in v]
         return [sum((self.jm[i][k] * cv[k] for k in range(self.dim)),
                     Scalar.zero()) for i in range(self.dim)]
 
@@ -189,27 +178,35 @@ def inverse_stereographic(pt: SpherePoint):
 
 def sphere_combination(qs: QuaternionicSpace, pt: SpherePoint) -> RealLinearOp:
     """x I + y J + z K."""
-    return (qs.op_i().scale_rational(pt.x)
-            + qs.op_j().scale_rational(pt.y)
-            + qs.op_k().scale_rational(pt.z))
+    return qs.op_i().scale(pt.x) + qs.op_j().scale(pt.y) + qs.op_k().scale(pt.z)
+
+
+def _conjugate_i(a: RealLinearOp, norm) -> RealLinearOp:
+    """(1 - a)^(-1) I (1 - a) for a with a^2 = -norm, a rational or
+    ``Scalar``: (1 - a)(1 + a) = 1 + norm, and I o (1 - a) is (1 - a)
+    scaled by i."""
+    one = RealLinearOp.identity(a.n)
+    inv = (one + a).scale((Scalar.one() + norm).inv())
+    return inv.compose((one - a).scale(Scalar.i()))
 
 
 def structure_at(qs: QuaternionicSpace, lam: Scalar) -> RealLinearOp:
-    """I_lambda by conjugation: (1 - uK + vJ)^(-1) I (1 - uK + vJ)."""
+    """I_lambda by conjugation: (1 - uK + vJ)^(-1) I (1 - uK + vJ).
+
+    a = uK - vJ squares to -(u^2 + v^2), because J^2 = K^2 = -1 and
+    JK = -KJ."""
     if not lam.is_gaussian:
         raise PreconditionError("the structure family is parameterized by Q(i)")
     u, v = lam.re, lam.im
-    g = (RealLinearOp.identity(qs.dim)
-         - qs.op_k().scale_rational(u)
-         + qs.op_j().scale_rational(v))
-    return g.inverse().compose(qs.op_i()).compose(g)
+    return _conjugate_i(qs.op_k().scale(u) - qs.op_j().scale(v), u * u + v * v)
 
 
 def structure_at_closed(qs: QuaternionicSpace, lam: Scalar) -> RealLinearOp:
-    """Same operator through the closed form (1 - i lam J)^(-1) I (1 - i lam J)."""
-    q = (RealLinearOp.identity(qs.dim)
-         - RealLinearOp.mult(Scalar.i() * lam, qs.dim).compose(qs.op_j()))
-    return q.inverse().compose(qs.op_i()).compose(q)
+    """Same operator through the closed form (1 - i lam J)^(-1) I (1 - i lam J).
+
+    a = i lam J sends w to i lam J_m conj(w), so a^2 = -lam conj(lam) by
+    J_m conj(J_m) = -1; this holds for cyclotomic lam too."""
+    return _conjugate_i(qs.op_j().scale(Scalar.i() * lam), lam * lam.conj())
 
 
 @dataclass(frozen=True)
@@ -231,26 +228,13 @@ def sigma_section(qs: QuaternionicSpace, s: SectionO1) -> SectionO1:
 
 def invariant_section_through(qs: QuaternionicSpace, v, lam0: Scalar) -> SectionO1:
     """The unique sigma-invariant section a + J(a) lambda through (lam0, v)."""
-    n = qs.dim
     v = [x if isinstance(x, Scalar) else Scalar.rational(x) for x in v]
-    if len(v) != n:
+    if len(v) != qs.dim:
         raise PreconditionError("point has wrong dimension")
-    # a + lam0 J_m conj(a) = v, solved together with its conjugate
-    top = [[Scalar.one() if i == j else Scalar.zero() for j in range(n)]
-           + [lam0 * qs.jm[i][j] for j in range(n)] for i in range(n)]
-    bot = [[(lam0 * qs.jm[i][j]).conj() for j in range(n)]
-           + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
-           for i in range(n)]
-    # the Schur complement of the system is (1 + |lam0|^2) I when J is
-    # quaternionic, so the solution is unique
-    rhs = [[x] for x in v + _conj_vec(v)]
-    x = linalg.solve(top + bot, rhs, Scalar.one(), Scalar.zero())
-    if x is None:
-        raise InternalInvariantError(
-            "invariant-section system is singular: J invariant is broken")
-    a, abar = [row[0] for row in x[:n]], [row[0] for row in x[n:]]
-    if abar != _conj_vec(a):
-        raise InternalInvariantError("doubled solve lost the reality constraint")
+    # J(a + lam0 J(a)) = J(a) - conj(lam0) a, so a + lam0 J(a) = v gives
+    # (1 + lam0 conj(lam0)) a = v - lam0 J(v)
+    den = Scalar.one() + lam0 * lam0.conj()
+    a = [(x - lam0 * y) / den for x, y in zip(v, qs.apply_j(v))]
     sec = SectionO1(a=tuple(a), b=tuple(qs.apply_j(a)))
     if sec.value_at(lam0) != v:
         raise InternalInvariantError("invariant section misses its defining point")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +121,16 @@ def test_ratfunc_coefficients_eq_and_hash():
     assert len({a, b, a + LaurentPoly.zero(1)}) == 1
     assert a != zs({2: S / (S + 1)}) and a != a.shift((1,))
     assert LaurentPoly(1, {(0,): Scalar.one()}) == 1
+
+
+def test_constants_equal_and_hash_like_their_coefficient():
+    for c in (0, 2):
+        assert len({LaurentPoly.constant(1, c), c, Fraction(c),
+                    Scalar.rational(c)}) == 1
+    p = LaurentPoly.constant(1, 2)
+    assert p == Scalar.rational(2) and p == Fraction(2) and p != t(1, 0) + 1
+    assert p + Fraction(1, 2) == Fraction(1, 2) + p == Fraction(5, 2)
+    assert p * Scalar.i() == Scalar.i() * p == Scalar.gaussian(0, 2)
 
 
 def test_coeff_at_an_exponent():

@@ -239,7 +239,7 @@ def test_bundle_frames_are_structure_eigenvectors():
     n = qs.dim
     i = I_
     for lam in (Scalar.gaussian(2, -1), gauss("1/2", "1/3"), Scalar.one()):
-        dbl = structure_at(qs, lam).doubled()
+        dbl = doubled(structure_at(qs, lam))
         for j in range(n):
             ej = [Scalar.one() if k == j else Scalar.zero() for k in range(n)]
             top = [i * lam * sum((qs.jm[r][k] * ej[k] for k in range(n)),
@@ -255,6 +255,38 @@ def test_sff_dimensions():
     assert quaternionic_sff_space(1, 2) == 0
     assert quaternionic_sff_space(1, 1, constraints="complex") > 0
     assert quaternionic_sff_space(2, 1, constraints="complex") > 0
+
+
+def doubled(op):
+    """The 2n x 2n complex matrix of ``op`` acting on (w, conj w)."""
+    pbar = [[x.conj() for x in row] for row in op.p]
+    qbar = [[x.conj() for x in row] for row in op.q]
+    return ([p + q for p, q in zip(op.p, op.q)]
+            + [q + p for q, p in zip(qbar, pbar)])
+
+
+def conjugate_i_by_inverse(qs, g):
+    """g^(-1) I g, with g^(-1) read off ``linalg.invert`` of the doubled
+    matrix of g."""
+    n = qs.dim
+    dbl = linalg.invert(doubled(g), Scalar.one(), Scalar.zero())
+    ginv = RealLinearOp([row[:n] for row in dbl[:n]], [row[n:] for row in dbl[:n]])
+    return ginv.compose(qs.op_i()).compose(g)
+
+
+def structure_by_inverse(qs, lam):
+    """Oracle for ``structure_at``: g = 1 - uK + vJ with K = I o J."""
+    k = qs.op_i().compose(qs.op_j())
+    g = (RealLinearOp.identity(qs.dim) - k.scale(lam.re)
+         + qs.op_j().scale(lam.im))
+    return conjugate_i_by_inverse(qs, g)
+
+
+def closed_structure_by_inverse(qs, lam):
+    """Oracle for ``structure_at_closed``: g = 1 - (i lam) o J."""
+    g = (RealLinearOp.identity(qs.dim)
+         - RealLinearOp.mult(I_ * lam, qs.dim).compose(qs.op_j()))
+    return conjugate_i_by_inverse(qs, g)
 
 
 def section_by_inverse(qs, v, lam0, real):
@@ -280,6 +312,52 @@ def test_invariant_section_solves_instead_of_inverting(forbid_inverse):
     forbid_inverse.forbid()
     for qs, v, lam0, want in cases:
         assert list(invariant_section_through(qs, v, lam0).a) == want
+
+
+ZETA8_PLUS_1 = Scalar.zeta(8) + Scalar.one()
+
+
+def oracle_lambdas(rng):
+    """0, 1, i, -i and one random gaussian."""
+    return [Scalar.zero(), Scalar.one(), I_, -I_,
+            Scalar.gaussian(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                            Fraction(rng.randint(-5, 5), rng.randint(1, 4)))]
+
+
+def test_closed_forms_match_the_elimination_oracles():
+    rng = random.Random(606)
+    for k in range(9):
+        qs = random_quaternionic(rng, 1 + k % 3)
+        assert qs.op_k() == qs.op_i().compose(qs.op_j())
+        lams = oracle_lambdas(rng)
+        for lam in lams:
+            assert structure_at(qs, lam) == structure_by_inverse(qs, lam)
+        for lam in lams + [ZETA8_PLUS_1]:
+            assert structure_at_closed(qs, lam) == closed_structure_by_inverse(qs, lam)
+            v = [gauss(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(qs.dim)]
+            sec = invariant_section_through(qs, v, lam)
+            assert list(sec.a) == section_by_inverse(qs, v, lam, linalg)
+
+
+def test_closed_forms_run_no_elimination(monkeypatch):
+    rng = random.Random(607)
+    cases = []
+    for r in (1, 2, 3):
+        qs = random_quaternionic(rng, r)
+        lam = oracle_lambdas(rng)[-1]
+        v = [gauss(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(qs.dim)]
+        cases.append((qs, lam, v, structure_by_inverse(qs, lam),
+                      closed_structure_by_inverse(qs, ZETA8_PLUS_1),
+                      section_by_inverse(qs, v, lam, linalg)))
+
+    def refuse(*args):
+        raise AssertionError("eliminated instead of using the quaternion relations")
+    for name in ("invert", "solve", "echelon"):
+        monkeypatch.setattr(linalg, name, refuse)
+    for qs, lam, v, op, closed, a in cases:
+        assert structure_at(qs, lam) == op
+        assert structure_at_closed(qs, ZETA8_PLUS_1) == closed
+        assert list(invariant_section_through(qs, v, lam).a) == a
 
 
 def test_twistor_bundle_hands_over_the_determinant(monkeypatch):
