@@ -1,5 +1,15 @@
 """Batch CLI: every module behind a subcommand with JSON input and output.
 
+The argv grammar is ``SUBCOMMAND VERB [--flag VALUE | --flag=VALUE]...``,
+read directly against the table ``build_parser`` derives from
+``HANDLERS``.  Every subcommand takes ``--input``, ``--inline``, ``--seed``
+(an integer) and ``--out``; ``gmquot`` also takes ``--weights``, ``--a``
+and ``--point``; ``selftest`` takes no verb.  Flag names are exact (no
+abbreviations), flags may precede the verb, a flag takes the next token
+verbatim (``--a -1/2`` needs no ``=``) and the last of a repeated flag
+wins.  ``-h``/``--help`` prints the usage and exits 0; any other
+malformed argv is a precondition violation naming the bad token.
+
 Exit codes: 0 success, 1 precondition or schema violation (the payload
 carries a machine-readable reason), 2 internal invariant breach or any
 other exception, reported as one JSON document without a traceback.  A
@@ -10,7 +20,6 @@ are mandatory for randomized verbs.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -28,11 +37,6 @@ from . import jump_loci as jl
 from . import gm_action as gm
 from . import langton as lg
 from .selftest import run_selftest
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise PreconditionError(message)
-
 
 def _payload(args):
     if args.inline is not None:
@@ -308,47 +312,110 @@ HANDLERS = {
 }
 
 
+# flag -> (value, help); every subcommand takes the common flags
+_COMMON_FLAGS = {
+    "--input": ("FILE", "path to a JSON input file"),
+    "--inline": ("JSON", "inline JSON input"),
+    "--seed": ("INT", "seed, mandatory for randomized verbs"),
+    "--out": ("FILE", "also write the result JSON here"),
+}
+_GMQUOT_FLAGS = {
+    "--weights": ("W,W,...", "comma-separated coordinate weights"),
+    "--a": ("P/Q", "linearization shift p/q"),
+    "--point": ("X:Y:...", "colon-separated scalars, e.g. 1:1:0"),
+}
+_HELP = ("-h", "--help")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The argparse tree, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="hodgekit",
-                     description="exact-arithmetic toolbox, JSON in / JSON out")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, verbs) in HANDLERS.items():
-        p = sub.add_parser(name)
-        p.add_argument("verb", choices=verbs)
-        _common_flags(p)
-        if name == "gmquot":
-            p.add_argument("--weights", help="comma-separated coordinate weights")
-            p.add_argument("--a", help="linearization shift p/q")
-            p.add_argument("--point", help="colon-separated scalars, e.g. 1:1:0")
-    st = sub.add_parser("selftest")
-    _common_flags(st)
-    return parser
+    """The argv grammar, built once per process from ``HANDLERS``: each
+    subcommand maps to its verbs (None for ``selftest``, which takes none)
+    and to its flags, each flag to the request field it sets."""
+    common = {f: f[2:] for f in _COMMON_FLAGS}
+    gm_flags = dict(common, **{f: f[2:] for f in _GMQUOT_FLAGS})
+    grammar = {name: (tuple(verbs), gm_flags if name == "gmquot" else common)
+               for name, (_, verbs) in HANDLERS.items()}
+    grammar["selftest"] = (None, common)
+    return grammar
 
 
-def _common_flags(p):
-    p.add_argument("--input", help="path to a JSON input file")
-    p.add_argument("--inline", help="inline JSON input")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="also write the result JSON here")
+class _Request:
+    """A parsed argv: the fields ``_execute`` reads, None unless given."""
+    subcommand = verb = input = inline = seed = out = None
+    weights = a = point = None
+
+
+def _help():
+    """Print the usage built from the grammar and exit 0."""
+    lines = ["usage: hodgekit SUBCOMMAND [VERB] [--flag VALUE | --flag=VALUE]...",
+             "exact-arithmetic toolbox, JSON in / JSON out", "",
+             "subcommands and verbs:"]
+    lines += [f"  {name} {' | '.join(verbs or ())}".rstrip()
+              for name, (verbs, _) in build_parser().items()]
+    for title, flags in (
+            ("\nflags (exact names; each takes the next token verbatim):",
+             _COMMON_FLAGS),
+            ("gmquot flags, in place of an input:", _GMQUOT_FLAGS)):
+        lines.append(title)
+        lines += [f"  {f + ' ' + v:<19} {text}" for f, (v, text) in flags.items()]
+    print("\n".join(lines))
+    sys.exit(0)
 
 
 def _parse(argv):
-    """Parse ``argv``, first joining "--a -1/2" into "--a=-1/2" so negative
-    values survive argparse."""
-    merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
+    """Read ``argv`` as ``SUBCOMMAND VERB [--flag VALUE | --flag=VALUE]...``.
+    Flags may come before the verb, a flag takes the next token verbatim
+    (so ``--a -1/2`` needs no ``=``), the last of a repeated flag wins,
+    and any other shape is a ``PreconditionError`` naming the bad token."""
+    grammar = build_parser()
+    if not argv:
+        raise PreconditionError(
+            f"missing subcommand: choose from {', '.join(grammar)}")
+    sub = argv[0]
+    if sub in _HELP:
+        _help()
+    try:
+        verbs, flags = grammar[sub]
+    except KeyError:
+        raise PreconditionError(f"unknown subcommand {sub!r}: choose from "
+                                f"{', '.join(grammar)}") from None
+    req = _Request()
+    req.subcommand = sub
+    i, n = 1, len(argv)
+    while i < n:
+        tok = argv[i]
+        i += 1
+        if tok[:1] != "-":
+            if verbs is None or req.verb is not None:
+                raise PreconditionError(f"unexpected argument {tok!r}")
+            if tok not in verbs:
+                raise PreconditionError(f"unknown {sub} verb {tok!r}: choose "
+                                        f"from {', '.join(verbs)}")
+            req.verb = tok
             continue
-        if tok in ("--a", "--point", "--weights") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
-    return build_parser().parse_args(merged)
+        if tok in _HELP:
+            _help()
+        name, joined, value = tok.partition("=")
+        field = flags.get(name)
+        if field is None:
+            raise PreconditionError(f"unknown flag {name!r} for {sub}")
+        if not joined:
+            if i == n:
+                raise PreconditionError(f"flag {name} needs a value")
+            value = argv[i]
+            i += 1
+        if field == "seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise PreconditionError(
+                    f"--seed needs an integer, got {value!r}") from None
+        setattr(req, field, value)
+    if verbs is not None and req.verb is None:
+        raise PreconditionError(f"missing {sub} verb: choose from "
+                                f"{', '.join(verbs)}")
+    return req
 
 
 def run(argv):

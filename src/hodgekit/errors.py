@@ -1,4 +1,7 @@
-"""Error taxonomy shared by every module and the CLI exit-code mapping."""
+"""Error taxonomy shared by every module and the CLI exit-code mapping,
+and the size budgets that refuse hostile inputs before any expansion."""
+
+import os
 
 
 class HodgekitError(Exception):
@@ -17,3 +20,22 @@ class InternalInvariantError(HodgekitError, RuntimeError):
 
     The CLI maps this to exit code 2.
     """
+
+
+def budget(env, default):
+    """The budget in the environment variable ``env``; ``default`` when it
+    is unset or not an integer."""
+    raw = os.environ.get(env, "")
+    try:
+        return int(raw) if raw else default
+    except ValueError:
+        return default
+
+
+def check_budget(count, what, env, default):
+    """Refuse ``count`` items (described by ``what``) when they exceed the
+    budget in ``env``; called before any of them is built."""
+    cap = budget(env, default)
+    if count > cap:
+        raise PreconditionError(
+            f"{count} {what} exceed the budget {cap} (set by ${env})")

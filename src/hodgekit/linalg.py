@@ -18,8 +18,12 @@ is over Z.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
-from .errors import PreconditionError, InternalInvariantError
+from .errors import PreconditionError, InternalInvariantError, check_budget
+
+_MINORS_ENV = "HODGEKIT_MINORS_MAX"
+_DEFAULT_MINORS_MAX = 10_000
 
 
 def dims(m):
@@ -270,10 +274,15 @@ def det_ring(m, one):
 
 
 def minors(m, k, one):
-    """All k-by-k minors in lexicographic (row-set, column-set) order."""
+    """All k-by-k minors in lexicographic (row-set, column-set) order.
+    There are C(rows, k) * C(cols, k) of them, each an O(2^k k) expansion,
+    so a count over ``$HODGEKIT_MINORS_MAX`` is refused before any."""
     rows, cols = dims(m)
     if k < 1 or k > min(rows, cols):
         raise PreconditionError(f"minor size {k} out of range for {rows}x{cols}")
+    check_budget(comb(rows, k) * comb(cols, k),
+                 f"minors of size {k} of a {rows}x{cols} matrix",
+                 _MINORS_ENV, _DEFAULT_MINORS_MAX)
     out = []
     for rset in combinations(range(rows), k):
         for cset in combinations(range(cols), k):

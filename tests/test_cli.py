@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgekit import cli
+from hodgekit import cli, linalg
 from hodgekit.errors import PreconditionError
 
 SCHEMA = json.load(open("src/hodgekit/schemas/wire-v1.json"))
@@ -530,6 +530,171 @@ def test_parser_reused_across_calls(capsys):
     assert cli.main(["jumploci", "scan", "--inline",
                      '{"cw": %s, "k": 1, "count": 10}' % CW]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
+
+
+I_CONJ = ["--inline", '{"scalar": "i"}']
+GM_INLINE = ["--inline", '{"action": {"weights": [-1, 0, 2], "a": "-1/2"},'
+             ' "point": "-1:1:0"}']
+SCAN = ["--inline", '{"cw": %s, "k": 1, "count": 10}' % CW]
+
+
+# argv -> the request it must match (same exit 0 and stdout) or, for a
+# malformed argv, a text its precondition reason must contain
+ARGV_GRAMMAR = [
+    pytest.param([], "missing subcommand", id="no-subcommand"),
+    pytest.param(["nonsense"], "'nonsense'", id="unknown-subcommand"),
+    pytest.param(["--inline", '{"scalar": "i"}', "rings", "conj"], "'--inline'",
+                 id="flag-before-subcommand"),
+    pytest.param(["rings", "nonsense", *I_CONJ], "'nonsense'", id="unknown-verb"),
+    pytest.param(["rings", *I_CONJ], "missing rings verb", id="missing-verb"),
+    pytest.param(["selftest", "now", "--seed", "1"], "'now'",
+                 id="selftest-takes-no-verb"),
+    pytest.param(["rings", "conj", *I_CONJ, "extra"], "'extra'",
+                 id="extra-positional"),
+    pytest.param(["rings", "conj", "--inl", '{"scalar": "i"}'], "'--inl'",
+                 id="abbreviated-flag"),
+    pytest.param(["rings", "conj", '--inl={"scalar": "i"}'], "'--inl'",
+                 id="abbreviated-joined-flag"),
+    pytest.param(["rings", "conj", "--weights", "1", *I_CONJ], "'--weights'",
+                 id="gmquot-flag-elsewhere"),
+    pytest.param(["rings", *I_CONJ, "--", "conj"], "'--'", id="bare-double-dash"),
+    pytest.param(["rings", "conj", "-x", *I_CONJ], "'-x'", id="short-flag"),
+    pytest.param(["rings", "conj", "--inline"], "--inline", id="flag-without-value"),
+    pytest.param(["rings", "conj", *I_CONJ, "--seed", "x"], "'x'", id="seed-not-int"),
+    pytest.param(["rings", "conj", *I_CONJ, "--seed=1.5"], "'1.5'",
+                 id="joined-seed-not-int"),
+    # every flag in its split and its joined form
+    pytest.param(["rings", "conj", "--input", "fixtures/rings_conj.json"],
+                 ["rings", "conj", "--inline", '{"scalar": "1/2+2/3*i"}'],
+                 id="input-split"),
+    pytest.param(["rings", "conj", "--input=fixtures/rings_conj.json"],
+                 ["rings", "conj", "--inline", '{"scalar": "1/2+2/3*i"}'],
+                 id="input-joined"),
+    pytest.param(["rings", "conj", '--inline={"scalar": "i"}'],
+                 ["rings", "conj", *I_CONJ], id="inline-joined"),
+    pytest.param(["jumploci", "scan", *SCAN, "--seed=3"],
+                 ["jumploci", "scan", *SCAN, "--seed", "3"], id="seed-joined"),
+    pytest.param(["rings", "conj", *I_CONJ, "--out", os.devnull],
+                 ["rings", "conj", *I_CONJ], id="out-split"),
+    pytest.param(["rings", "conj", *I_CONJ, f"--out={os.devnull}"],
+                 ["rings", "conj", *I_CONJ], id="out-joined"),
+    # gmquot's flags stand for an input; values may start with "-"
+    pytest.param(["gmquot", "membership", "--weights", "-1,0,2", "--a", "-1/2",
+                  "--point", "-1:1:0"],
+                 ["gmquot", "membership", *GM_INLINE], id="gmquot-split"),
+    pytest.param(["gmquot", "membership", "--weights=-1,0,2", "--a=-1/2",
+                  "--point=-1:1:0"],
+                 ["gmquot", "membership", *GM_INLINE], id="gmquot-joined"),
+    pytest.param(["gmquot", "--a", "-1/2", "--point=-1:1:0", "membership",
+                  "--weights", "-1,0,2"],
+                 ["gmquot", "membership", *GM_INLINE], id="gmquot-mixed"),
+    # the last of a repeated flag wins, and flags may precede the verb
+    pytest.param(["rings", "conj", "--inline", '{"scalar": "1"}', *I_CONJ],
+                 ["rings", "conj", *I_CONJ], id="repeated-flag"),
+    pytest.param(["rings", *I_CONJ, "conj"], ["rings", "conj", *I_CONJ],
+                 id="flag-before-verb"),
+]
+
+
+@pytest.mark.parametrize("argv, expect", ARGV_GRAMMAR)
+def test_argv_grammar(argv, expect, capsys):
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    if isinstance(expect, str):
+        assert code == 1, out
+        err = json.loads(out)["error"]
+        assert err["kind"] == "precondition" and expect in err["reason"], err
+    else:
+        assert code == 0, out
+        assert cli.main(expect) == 0
+        assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["rings", "conj", "--help"],
+                                  ["gmquot", "-h", "--weights", "0"]])
+def test_help_exits_0_and_names_every_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as ex:
+        cli.main(argv)
+    assert ex.value.code == 0
+    words = capsys.readouterr().out.split()
+    assert "usage:" in words
+    for name in [*cli.HANDLERS, "selftest"]:
+        assert name in words, name
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hodgekit.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _cw_json(n):
+    """An n x n presentation over Z[t^+-1] with entries t^(i - j)."""
+    return {"a": 1, "m": n, "l": n,
+            "A": [[[{"exp": [i - j], "coeff": "1"}] for j in range(n)]
+                  for i in range(n)]}
+
+
+# a 12 x 12 request for 6-minors asks for C(12, 6)^2 = 853776 expansions
+BUDGET_OVERRUNS = [
+    pytest.param(["rings", "minors"],
+                 {"vars": 1, "k": 6, "matrix": _cw_json(12)["A"]},
+                 "853776 minors of size 6 of a 12x12 matrix", "MINORS", 10000,
+                 id="rings-minors"),
+    pytest.param(["jumploci", "ideal"], {"cw": _cw_json(12), "k": 7},
+                 "853776 minors of size 6 of a 12x12 matrix", "MINORS", 10000,
+                 id="jumploci-ideal"),
+    pytest.param(["jumploci", "contains"],
+                 {"cw": _cw_json(12), "k": 7,
+                  "subtorus": {"zeta": ["1"], "E": [[1]]}},
+                 "853776 minors of size 6 of a 12x12 matrix", "MINORS", 10000,
+                 id="jumploci-contains"),
+    pytest.param(["gmquot", "invariants"],
+                 {"action": {"weights": list(range(12)), "a": "1"}, "degree": 12},
+                 "1352078 monomials of degree 12 in 12 coordinates", "MONOMIALS",
+                 100000, id="gmquot-invariants"),
+]
+
+
+@pytest.mark.parametrize("argv, request_, counted, var, default", BUDGET_OVERRUNS)
+def test_budget_overrun_exits_1_before_expanding(argv, request_, counted, var,
+                                                 default, monkeypatch, capsys):
+    monkeypatch.delenv(f"HODGEKIT_{var}_MAX", raising=False)
+
+    def expanded(*_):
+        raise AssertionError("expanded before the budget check")
+    monkeypatch.setattr(linalg, "det_ring", expanded)
+    assert cli.main([*argv, "--inline", json.dumps(request_)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "precondition",
+        "reason": f"{counted} exceed the budget {default} "
+                  f"(set by $HODGEKIT_{var}_MAX)"}
+
+
+@pytest.mark.parametrize("argv, request_, budget, reason", [
+    (["rings", "minors"], {"vars": 1, "k": 2, "matrix": _cw_json(3)["A"]},
+     "MINORS", "9 minors of size 2 of a 3x3 matrix exceed the budget 8"),
+    (["gmquot", "invariants"],
+     {"action": {"weights": [0, 1, 2], "a": "1"}, "degree": 2},
+     "MONOMIALS", "6 monomials of degree 2 in 3 coordinates exceed the budget 5"),
+])
+def test_budgets_are_read_from_the_environment(argv, request_, budget, reason,
+                                               monkeypatch, capsys):
+    # the budget is read on every call; at the count itself the request runs
+    count = int(reason.split()[0])
+    inline = ["--inline", json.dumps(request_)]
+    monkeypatch.setenv(f"HODGEKIT_{budget}_MAX", str(count - 1))
+    assert cli.main([*argv, *inline]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["reason"] == (
+        f"{reason} (set by $HODGEKIT_{budget}_MAX)")
+    monkeypatch.setenv(f"HODGEKIT_{budget}_MAX", str(count))
+    assert cli.main([*argv, *inline]) == 0
+    capsys.readouterr()
 
 
 def test_missing_input_rejected():
