@@ -331,9 +331,10 @@ _HELP = ("-h", "--help")
 def build_parser():
     """The argv grammar, built once per process from ``HANDLERS``: each
     subcommand maps to its verbs (None for ``selftest``, which takes none)
-    and to its flags, each flag to the request field it sets."""
-    common = {f: f[2:] for f in _COMMON_FLAGS}
-    gm_flags = dict(common, **{f: f[2:] for f in _GMQUOT_FLAGS})
+    and to the names of its flags; ``--name`` sets the request field
+    ``name``."""
+    common = frozenset(_COMMON_FLAGS)
+    gm_flags = common | frozenset(_GMQUOT_FLAGS)
     grammar = {name: (tuple(verbs), gm_flags if name == "gmquot" else common)
                for name, (_, verbs) in HANDLERS.items()}
     grammar["selftest"] = (None, common)
@@ -397,21 +398,20 @@ def _parse(argv):
         if tok in _HELP:
             _help()
         name, joined, value = tok.partition("=")
-        field = flags.get(name)
-        if field is None:
+        if name not in flags:
             raise PreconditionError(f"unknown flag {name!r} for {sub}")
         if not joined:
             if i == n:
                 raise PreconditionError(f"flag {name} needs a value")
             value = argv[i]
             i += 1
-        if field == "seed":
+        if name == "--seed":
             try:
                 value = int(value)
             except ValueError:
                 raise PreconditionError(
                     f"--seed needs an integer, got {value!r}") from None
-        setattr(req, field, value)
+        setattr(req, name[2:], value)
     if verbs is not None and req.verb is None:
         raise PreconditionError(f"missing {sub} verb: choose from "
                                 f"{', '.join(verbs)}")

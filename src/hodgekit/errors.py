@@ -1,7 +1,5 @@
 """Error taxonomy shared by every module and the CLI exit-code mapping,
-and the size budgets that refuse hostile inputs before any expansion."""
-
-import os
+and the size check that refuses hostile inputs before any expansion."""
 
 
 class HodgekitError(Exception):
@@ -22,20 +20,10 @@ class InternalInvariantError(HodgekitError, RuntimeError):
     """
 
 
-def budget(env, default):
-    """The budget in the environment variable ``env``; ``default`` when it
-    is unset or not an integer."""
-    raw = os.environ.get(env, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def check_budget(count, what, env, default):
+def check_budget(count, what, cap, name):
     """Refuse ``count`` items (described by ``what``) when they exceed the
-    budget in ``env``; called before any of them is built."""
-    cap = budget(env, default)
+    budget ``cap``, held in the constant ``name``; called before any of
+    them is built."""
     if count > cap:
         raise PreconditionError(
-            f"{count} {what} exceed the budget {cap} (set by ${env})")
+            f"{count} {what} exceed the budget {cap} ({name})")

@@ -28,8 +28,7 @@ from .errors import PreconditionError, InternalInvariantError, check_budget
 from . import linalg
 from .scalars import Scalar
 
-_MONOMIALS_ENV = "HODGEKIT_MONOMIALS_MAX"
-_DEFAULT_MONOMIALS_MAX = 100_000
+_MAX_MONOMIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -359,8 +358,8 @@ def choose_gauge(action: WeightedAction, dec: Decomposition, arc: Arc):
 def invariant_monomials(action: WeightedAction, degree: int):
     """Exponents of degree-d monomials with total weight d * a; empty when
     d * a is not an integer.  The search visits all C(d+n-1, n-1) degree-d
-    monomials in n coordinates, so a count over ``$HODGEKIT_MONOMIALS_MAX``
-    is refused before it starts."""
+    monomials in n coordinates, so a count over ``_MAX_MONOMIALS`` is
+    refused before it starts."""
     if degree < 0:
         raise PreconditionError("degree must be non-negative")
     target = action.shift * degree
@@ -370,7 +369,7 @@ def invariant_monomials(action: WeightedAction, degree: int):
     n = action.n_coords
     check_budget(comb(degree + n - 1, n - 1),
                  f"monomials of degree {degree} in {n} coordinates",
-                 _MONOMIALS_ENV, _DEFAULT_MONOMIALS_MAX)
+                 _MAX_MONOMIALS, "gm_action._MAX_MONOMIALS")
     out = []
 
     def rec(i, remaining, weight_acc, prefix):

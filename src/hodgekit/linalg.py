@@ -22,8 +22,7 @@ from math import comb
 
 from .errors import PreconditionError, InternalInvariantError, check_budget
 
-_MINORS_ENV = "HODGEKIT_MINORS_MAX"
-_DEFAULT_MINORS_MAX = 10_000
+_MAX_MINORS = 10_000
 
 
 def dims(m):
@@ -276,13 +275,13 @@ def det_ring(m, one):
 def minors(m, k, one):
     """All k-by-k minors in lexicographic (row-set, column-set) order.
     There are C(rows, k) * C(cols, k) of them, each an O(2^k k) expansion,
-    so a count over ``$HODGEKIT_MINORS_MAX`` is refused before any."""
+    so a count over ``_MAX_MINORS`` is refused before any."""
     rows, cols = dims(m)
     if k < 1 or k > min(rows, cols):
         raise PreconditionError(f"minor size {k} out of range for {rows}x{cols}")
     check_budget(comb(rows, k) * comb(cols, k),
                  f"minors of size {k} of a {rows}x{cols} matrix",
-                 _MINORS_ENV, _DEFAULT_MINORS_MAX)
+                 _MAX_MINORS, "linalg._MAX_MINORS")
     out = []
     for rset in combinations(range(rows), k):
         for cset in combinations(range(cols), k):

@@ -31,15 +31,24 @@ cyclotomic reduction over ``Fraction`` and by ``univariate.RatFunc`` over
 
 from __future__ import annotations
 
+import os
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import PreconditionError, budget
+from .errors import PreconditionError
 
 _CYCLO_CAP_ENV = "HODGEKIT_CYCLOTOMIC_MAX"
 _DEFAULT_CYCLO_CAP = 120
+
+
+def _cyclo_cap():
+    raw = os.environ.get(_CYCLO_CAP_ENV, "")
+    try:
+        return int(raw) if raw else _DEFAULT_CYCLO_CAP
+    except ValueError:
+        return _DEFAULT_CYCLO_CAP
 
 
 def totient(n):
@@ -201,7 +210,7 @@ class Scalar:
                 Fraction(re if re is not None else 0),
                 Fraction(im if im is not None else 0))
         else:
-            cap = budget(_CYCLO_CAP_ENV, _DEFAULT_CYCLO_CAP)
+            cap = _cyclo_cap()
             if order < 1 or order > cap:
                 raise PreconditionError(
                     f"cyclotomic order {order} outside 1..{cap} "

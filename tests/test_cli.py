@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgekit import cli, linalg
+from hodgekit import cli, gm_action, linalg
 from hodgekit.errors import PreconditionError
 
 SCHEMA = json.load(open("src/hodgekit/schemas/wire-v1.json"))
@@ -640,59 +641,60 @@ def _cw_json(n):
                   for i in range(n)]}
 
 
-# a 12 x 12 request for 6-minors asks for C(12, 6)^2 = 853776 expansions
+# a 12 x 12 request for 6-minors asks for C(12, 6)^2 = 853776 expansions;
+# 12 coordinates at degree 10^4 give about 10^37 monomials, which no search
+# started before the check could finish
 BUDGET_OVERRUNS = [
     pytest.param(["rings", "minors"],
                  {"vars": 1, "k": 6, "matrix": _cw_json(12)["A"]},
-                 "853776 minors of size 6 of a 12x12 matrix", "MINORS", 10000,
-                 id="rings-minors"),
+                 "853776 minors of size 6 of a 12x12 matrix", "linalg._MAX_MINORS",
+                 10000, id="rings-minors"),
     pytest.param(["jumploci", "ideal"], {"cw": _cw_json(12), "k": 7},
-                 "853776 minors of size 6 of a 12x12 matrix", "MINORS", 10000,
-                 id="jumploci-ideal"),
+                 "853776 minors of size 6 of a 12x12 matrix", "linalg._MAX_MINORS",
+                 10000, id="jumploci-ideal"),
     pytest.param(["jumploci", "contains"],
                  {"cw": _cw_json(12), "k": 7,
                   "subtorus": {"zeta": ["1"], "E": [[1]]}},
-                 "853776 minors of size 6 of a 12x12 matrix", "MINORS", 10000,
-                 id="jumploci-contains"),
+                 "853776 minors of size 6 of a 12x12 matrix", "linalg._MAX_MINORS",
+                 10000, id="jumploci-contains"),
     pytest.param(["gmquot", "invariants"],
-                 {"action": {"weights": list(range(12)), "a": "1"}, "degree": 12},
-                 "1352078 monomials of degree 12 in 12 coordinates", "MONOMIALS",
-                 100000, id="gmquot-invariants"),
+                 {"action": {"weights": list(range(12)), "a": "1"},
+                  "degree": 10**4},
+                 f"{math.comb(10**4 + 11, 11)} monomials of degree 10000 in 12 "
+                 "coordinates", "gm_action._MAX_MONOMIALS", 100000,
+                 id="gmquot-invariants"),
 ]
 
 
-@pytest.mark.parametrize("argv, request_, counted, var, default", BUDGET_OVERRUNS)
-def test_budget_overrun_exits_1_before_expanding(argv, request_, counted, var,
-                                                 default, monkeypatch, capsys):
-    monkeypatch.delenv(f"HODGEKIT_{var}_MAX", raising=False)
-
+@pytest.mark.parametrize("argv, request_, counted, name, cap", BUDGET_OVERRUNS)
+def test_budget_overrun_exits_1_before_expanding(argv, request_, counted, name,
+                                                 cap, monkeypatch, capsys):
     def expanded(*_):
         raise AssertionError("expanded before the budget check")
     monkeypatch.setattr(linalg, "det_ring", expanded)
     assert cli.main([*argv, "--inline", json.dumps(request_)]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == {
         "kind": "precondition",
-        "reason": f"{counted} exceed the budget {default} "
-                  f"(set by $HODGEKIT_{var}_MAX)"}
+        "reason": f"{counted} exceed the budget {cap} ({name})"}
 
 
-@pytest.mark.parametrize("argv, request_, budget, reason", [
+@pytest.mark.parametrize("argv, request_, module, name, reason", [
     (["rings", "minors"], {"vars": 1, "k": 2, "matrix": _cw_json(3)["A"]},
-     "MINORS", "9 minors of size 2 of a 3x3 matrix exceed the budget 8"),
+     linalg, "_MAX_MINORS", "9 minors of size 2 of a 3x3 matrix exceed the budget 8"),
     (["gmquot", "invariants"],
      {"action": {"weights": [0, 1, 2], "a": "1"}, "degree": 2},
-     "MONOMIALS", "6 monomials of degree 2 in 3 coordinates exceed the budget 5"),
+     gm_action, "_MAX_MONOMIALS",
+     "6 monomials of degree 2 in 3 coordinates exceed the budget 5"),
 ])
-def test_budgets_are_read_from_the_environment(argv, request_, budget, reason,
-                                               monkeypatch, capsys):
-    # the budget is read on every call; at the count itself the request runs
+def test_budget_refuses_one_over_and_runs_at_the_cap(argv, request_, module, name,
+                                                     reason, monkeypatch, capsys):
     count = int(reason.split()[0])
     inline = ["--inline", json.dumps(request_)]
-    monkeypatch.setenv(f"HODGEKIT_{budget}_MAX", str(count - 1))
+    monkeypatch.setattr(module, name, count - 1)
     assert cli.main([*argv, *inline]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["reason"] == (
-        f"{reason} (set by $HODGEKIT_{budget}_MAX)")
-    monkeypatch.setenv(f"HODGEKIT_{budget}_MAX", str(count))
+        f"{reason} ({module.__name__.rsplit('.', 1)[1]}.{name})")
+    monkeypatch.setattr(module, name, count)
     assert cli.main([*argv, *inline]) == 0
     capsys.readouterr()
 
