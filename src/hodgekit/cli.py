@@ -533,7 +533,7 @@ def _dumps(obj):
 def _emit(obj, out_path=None):
     # write the file first: a failed write then prints only the error
     text = _dumps(obj)
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text + "\n")

@@ -9,7 +9,11 @@ coordinate weight w is alpha = -w, and the rational shift a (never equal
 to any alpha) splits the fixed set into V+ (alpha > a) and V- (alpha < a).
 Points flowing into V+ at infinity form Y+, points flowing into V- at zero
 form Y-, and U is the complement; these never meet, which is asserted on
-every membership query.
+every membership query.  Everything about a point's flow is read off the
+weights on its support: t.x tends at zero to the coordinates of the least
+of them and at infinity to those of the greatest, so membership and the
+attraction order need no limit point, and orbit equivalence is a check of
+r_i^(d_j/g) = r_j^(d_i/g) over pairs of support coordinates.
 
 Arcs (coordinates Laurent in a disk parameter s) are analysed through the
 lower envelope of the valuation lines v_i - eps * w_i; envelope intervals
@@ -22,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, gcd
 
 from .errors import PreconditionError, InternalInvariantError, check_budget
-from . import linalg
 from .scalars import Scalar
 
 _MAX_MONOMIALS = 100_000
@@ -107,28 +111,26 @@ class ProjPoint:
         return "[" + " : ".join(str(x) for x in self.coords) + "]"
 
 
-def limit0(action: WeightedAction, point: ProjPoint) -> ProjPoint:
+def _support_weights(action: WeightedAction, point: ProjPoint):
     action.check_coords(point)
-    wmin = min(action.weights[i] for i in point.support)
-    return ProjPoint([x if action.weights[i] == wmin and not x.is_zero
+    return [action.weights[i] for i in point.support]
+
+
+def _limit(action: WeightedAction, point: ProjPoint, pick) -> ProjPoint:
+    """The coordinates of ``point`` at the weight ``pick`` (min or max)
+    chooses from its support, the rest zero."""
+    w = pick(_support_weights(action, point))
+    return ProjPoint([x if action.weights[i] == w and not x.is_zero
                       else Scalar.zero()
                       for i, x in enumerate(point.coords)])
+
+
+def limit0(action: WeightedAction, point: ProjPoint) -> ProjPoint:
+    return _limit(action, point, min)
 
 
 def limitinf(action: WeightedAction, point: ProjPoint) -> ProjPoint:
-    action.check_coords(point)
-    wmax = max(action.weights[i] for i in point.support)
-    return ProjPoint([x if action.weights[i] == wmax and not x.is_zero
-                      else Scalar.zero()
-                      for i, x in enumerate(point.coords)])
-
-
-def weight_of_fixed_point(action: WeightedAction, point: ProjPoint) -> int:
-    action.check_coords(point)
-    ws = {action.weights[i] for i in point.support}
-    if len(ws) != 1:
-        raise PreconditionError("point is not fixed")
-    return ws.pop()
+    return _limit(action, point, max)
 
 
 class ComponentOrder:
@@ -136,16 +138,12 @@ class ComponentOrder:
 
     def __init__(self, weights_present, pairs):
         self.nodes = sorted(weights_present)
-        rel = {(w, w) for w in self.nodes}
-        rel |= set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        rel = {(w, w) for w in self.nodes} | set(pairs)
+        # Warshall: after pivot k, every chain through pivots so far is closed
+        for k in sorted({w for pair in rel for w in pair}):
+            below = [a for (a, b) in rel if b == k]
+            above = [d for (c, d) in rel if c == k]
+            rel |= {(a, d) for a in below for d in above}
         self.pairs = rel
 
     def le(self, wu, wv):
@@ -157,16 +155,16 @@ class ComponentOrder:
 
 def comp_order(action: WeightedAction, witnesses=None) -> ComponentOrder:
     """Attraction order; total by weight on full projective space, or the
-    chain closure of (limit0, limitinf) pairs through a witness set."""
+    chain closure of (least, greatest) support weight pairs of a witness
+    set, the components its points flow to at zero and at infinity."""
     weights = sorted(set(action.weights))
     if witnesses is None:
         pairs = {(u, v) for u in weights for v in weights if u <= v}
         return ComponentOrder(weights, pairs)
     pairs = set()
     for x in witnesses:
-        u = weight_of_fixed_point(action, limit0(action, x))
-        v = weight_of_fixed_point(action, limitinf(action, x))
-        pairs.add((u, v))
+        ws = _support_weights(action, x)
+        pairs.add((min(ws), max(ws)))
     return ComponentOrder(weights, pairs)
 
 
@@ -189,11 +187,12 @@ def decompose(action: WeightedAction) -> Decomposition:
 
 def membership(action: WeightedAction, dec: Decomposition,
                point: ProjPoint) -> str:
-    """Classify a point as in_Y+, in_Y-, or in_U; asserts disjointness."""
-    w0 = weight_of_fixed_point(action, limit0(action, point))
-    winf = weight_of_fixed_point(action, limitinf(action, point))
-    in_plus = winf in dec.plus_weights
-    in_minus = w0 in dec.minus_weights
+    """Classify a point as in_Y+, in_Y-, or in_U; asserts disjointness.
+    The point flows at zero into the component of the least weight on its
+    support and at infinity into that of the greatest."""
+    ws = _support_weights(action, point)
+    in_plus = max(ws) in dec.plus_weights
+    in_minus = min(ws) in dec.minus_weights
     if in_plus and in_minus:
         raise InternalInvariantError("Y+ and Y- met at a point")
     if in_plus:
@@ -206,29 +205,28 @@ def membership(action: WeightedAction, dec: Decomposition,
 def orbit_equivalent(action: WeightedAction, x: ProjPoint, y: ProjPoint) -> bool:
     """Exact test for y in the closure-free torus orbit of x.
 
-    Supports must agree; then t^(w_i - w_j) = (y_i x_j) / (x_i y_j) must be
-    consistent, which is a lattice condition checked through the Smith
-    normal form of the exponent vector (roots always exist over the
-    algebraically closed field, so consistency is the whole test).
+    Supports must agree; then some t must solve t^(d_i) = r_i on the
+    support, with d_i = w_i - w_0 and r_i = y_i / x_i, where 0 is the first
+    index of the support, at which both points are normalized to 1.  Over
+    the algebraically closed field such t exists exactly when every integer
+    relation sum c_i d_i = 0 gives prod r_i^(c_i) = 1.  The relations
+    (d_j/g) e_i - (d_i/g) e_j, g = gcd(d_i, d_j), span them all, so it
+    suffices to check r_i^(d_j/g) = r_j^(d_i/g) on every pair, and
+    r_i = r_j = 1 where d_i = d_j = 0.
     """
     action.check_coords(x, y)
     if x.support != y.support:
         return False
-    sup = list(x.support)
-    base = sup[0]
-    ds = [action.weights[i] - action.weights[base] for i in sup]
-    ratios = [(y.coords[i] * x.coords[base]) / (x.coords[i] * y.coords[base])
-              for i in sup]
-    _, d, v = linalg.smith_normal_form([ds])
-    k = len(ds)
-    kernel_cols = [j for j in range(k) if d[0][j] == 0]
-    for j in kernel_cols:
-        rel = [v[i][j] for i in range(k)]
-        prod = Scalar.one()
-        for r, c in zip(ratios, rel):
-            if c:
-                prod = prod * (r ** c)
-        if prod != Scalar.one():
+    base = action.weights[x.support[0]]
+    terms = [(action.weights[i] - base, y.coords[i] / x.coords[i])
+             for i in x.support]
+    one = Scalar.one()
+    for (di, ri), (dj, rj) in combinations(terms, 2):
+        g = gcd(di, dj)
+        if g == 0:
+            if ri != one or rj != one:
+                return False
+        elif ri ** (dj // g) != rj ** (di // g):
             return False
     return True
 
@@ -269,64 +267,46 @@ def newton_limits(action: WeightedAction, arc: Arc):
     Coordinate i carries the valuation line v_i - eps * w_i; the minimizers
     at a given eps survive in the limit.  Output alternates open intervals
     (landing in a fixed component) with breakpoints (landing at non-fixed
-    points of the connecting orbits).
+    points of the connecting orbits).  On the interval of weight w only the
+    line of w is least, so the landing point is the coordinates of weight w
+    at w's least valuation; at a breakpoint any number of lines can tie.
     """
     action.check_coords(arc)
-    sup = list(arc.support)
+    vals = {i: arc.valuation(i) for i in arc.support}
     lines = {}
-    for i in sup:
+    for i, v in vals.items():
         w = action.weights[i]
-        v = arc.valuation(i)
-        if w not in lines or v < lines[w]:
-            lines[w] = v
+        lines[w] = min(v, lines.get(w, v))
 
-    def landing(eps):
-        vals = {i: Fraction(arc.valuation(i)) - eps * action.weights[i] for i in sup}
-        best = min(vals.values())
-        coords = [Scalar.zero()] * action.n_coords
-        for i in sup:
-            if vals[i] == best:
-                coords[i] = arc.coords[i].coeff((arc.valuation(i),))
-        return ProjPoint(coords)
+    def landing(tied):
+        return ProjPoint([arc.coords[i].coeff((vals[i],)) if i in tied
+                          else Scalar.zero() for i in range(action.n_coords)])
 
-    order = sorted(lines)  # active weight increases along eps
-    stack = []
-    for w in order:
-        v = Fraction(lines[w])
-        while stack:
-            w0, v0, cut0 = stack[-1]
-            cut = (v - v0) / (w - w0)
-            if cut0 is not None and cut <= cut0:
-                stack.pop()
-                continue
-            break
-        if stack:
-            w0, v0, _ = stack[-1]
-            cut = (v - v0) / (w - w0)
-        else:
-            cut = None
+    # lower envelope; weights ascend, so the active weight rises with eps
+    stack = []   # (weight, valuation, eps where it becomes least)
+    for w in sorted(lines):
+        v = lines[w]
+        while stack and stack[-1][2] is not None and \
+                Fraction(v - stack[-1][1], w - stack[-1][0]) <= stack[-1][2]:
+            stack.pop()
+        cut = Fraction(v - stack[-1][1], w - stack[-1][0]) if stack else None
         stack.append((w, v, cut))
 
     segments = []
-    for idx, (w, v, cut) in enumerate(stack):
-        lo = cut
+    for idx, (w, v, lo) in enumerate(stack):
         hi = stack[idx + 1][2] if idx + 1 < len(stack) else None
         if lo is not None:
-            segments.append(ArcSegment(kind="breakpoint", lo=lo, hi=lo,
-                                       weight=None, point=landing(lo)))
-        if lo is None and hi is None:
-            mid = Fraction(0)
-        elif lo is None:
-            mid = hi - 1
-        elif hi is None:
-            mid = lo + 1
-        else:
-            mid = (lo + hi) / 2
-        segments.append(ArcSegment(kind="interval", lo=lo, hi=hi,
-                                   weight=w, point=landing(mid)))
+            h = {i: vi - lo * action.weights[i] for i, vi in vals.items()}
+            best = min(h.values())
+            segments.append(ArcSegment(
+                kind="breakpoint", lo=lo, hi=lo, weight=None,
+                point=landing({i for i in h if h[i] == best})))
+        segments.append(ArcSegment(
+            kind="interval", lo=lo, hi=hi, weight=w,
+            point=landing({i for i in vals
+                           if (action.weights[i], vals[i]) == (w, v)})))
     interval_weights = [s.weight for s in segments if s.kind == "interval"]
-    if interval_weights != sorted(interval_weights) or \
-            len(set(interval_weights)) != len(interval_weights):
+    if interval_weights != sorted(set(interval_weights)):
         raise InternalInvariantError("envelope weights must strictly increase")
     return segments
 
@@ -371,16 +351,7 @@ def invariant_monomials(action: WeightedAction, degree: int):
                  f"monomials of degree {degree} in {n} coordinates",
                  _MAX_MONOMIALS, "gm_action._MAX_MONOMIALS")
     out = []
-
-    def rec(i, remaining, weight_acc, prefix):
-        if i == n - 1:
-            w = weight_acc + remaining * action.weights[i]
-            if w == target:
-                out.append(tuple(prefix + [remaining]))
-            return
-        for m in range(remaining + 1):
-            rec(i + 1, remaining - m, weight_acc + m * action.weights[i],
-                prefix + [m])
-
-    rec(0, degree, 0, [])
+    for combo in combinations_with_replacement(range(n), degree):
+        if sum(action.weights[i] for i in combo) == target:
+            out.append(tuple(combo.count(i) for i in range(n)))
     return sorted(out)

@@ -17,10 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_budget
 from . import linalg
 from .laurent import LaurentPoly
 from .scalars import Scalar
+
+_MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,10 @@ def character_scan(p: CWPresentation, k: int, samples: int, seed: int):
     Every returned character is verified to satisfy the rank condition;
     no completeness is claimed.
     """
-    if samples < 0 or samples > 100000:
-        raise PreconditionError("sample count out of range")
+    if samples < 0:
+        raise PreconditionError(f"sample count {samples} is negative")
+    check_budget(samples, "character samples", _MAX_SAMPLES,
+                 "jump_loci._MAX_SAMPLES")
     if k < 1 or k > p.m:
         raise PreconditionError(f"jump index {k} out of range 1..{p.m}")
     rng = random.Random(seed)

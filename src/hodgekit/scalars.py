@@ -31,28 +31,27 @@ cyclotomic reduction over ``Fraction`` and by ``univariate.RatFunc`` over
 
 from __future__ import annotations
 
-import os
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError, check_budget
 
-_CYCLO_CAP_ENV = "HODGEKIT_CYCLOTOMIC_MAX"
-_DEFAULT_CYCLO_CAP = 120
+_MAX_CYCLOTOMIC_ORDER = 120
 
 
-def _cyclo_cap():
-    raw = os.environ.get(_CYCLO_CAP_ENV, "")
-    try:
-        return int(raw) if raw else _DEFAULT_CYCLO_CAP
-    except ValueError:
-        return _DEFAULT_CYCLO_CAP
+def _check_order(n):
+    """Refuse a cyclotomic order before anything of that order is built."""
+    if n < 1:
+        raise PreconditionError(f"cyclotomic order {n} is below 1")
+    check_budget(n, "distinct powers of zeta_n", _MAX_CYCLOTOMIC_ORDER,
+                 "scalars._MAX_CYCLOTOMIC_ORDER")
 
 
 def totient(n):
-    assert n >= 1
+    if n < 1:
+        raise PreconditionError(f"totient of {n} is undefined")
     result, m, p = n, n, 2
     while p * p <= m:
         if m % p == 0:
@@ -159,7 +158,8 @@ def cyclotomic_polynomial(n):
         if n % d == 0:
             rest = pmul(rest, cyclotomic_polynomial(d))
     q, r = pdivmod(xn, rest)
-    assert not r, "cyclotomic division must be exact"
+    if r:
+        raise InternalInvariantError("cyclotomic division must be exact")
     return tuple(q)
 
 
@@ -188,7 +188,9 @@ def _cyclo_inverse(n, c):
         q, r = pdivmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, padd(s0, pneg(pmul(q, s1)))
-    assert len(r0) == 1, "Phi_n must be coprime to a nonzero element"
+    if len(r0) != 1:
+        raise InternalInvariantError(
+            "Phi_n must be coprime to a nonzero element")
     return _reduce(n, pmul(s0, [1 / r0[0]]))
 
 
@@ -210,11 +212,7 @@ class Scalar:
                 Fraction(re if re is not None else 0),
                 Fraction(im if im is not None else 0))
         else:
-            cap = _cyclo_cap()
-            if order < 1 or order > cap:
-                raise PreconditionError(
-                    f"cyclotomic order {order} outside 1..{cap} "
-                    f"(cap set by ${_CYCLO_CAP_ENV})")
+            _check_order(order)
             phi = totient(order)
             cs = [Fraction(c) for c in coeffs]
             if len(cs) != phi:
@@ -255,6 +253,7 @@ class Scalar:
 
     @staticmethod
     def zeta(order, power=1):
+        _check_order(order)
         phi = totient(order)
         base = _power_basis(order, power)
         return Scalar(order=order, coeffs=list(base[:phi]))

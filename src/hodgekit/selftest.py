@@ -87,15 +87,21 @@ def random_unimodular_z(rng, n, chart, ops=3):
 # -- individual checks ----------------------------------------------------
 
 
+def _check(ok, what):
+    """Fail the check naming the property; unlike ``assert``, this also
+    runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def check_scalar_field_axioms(rng):
     for _ in range(40):
         a, b, c = (random_scalar(rng) for _ in range(3))
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
-        if not b.is_zero:
-            assert (a / b) * b == a
-        assert a.conj().conj() == a
-        assert (a * b).conj() == a.conj() * b.conj()
+        _check((a + b) * c == a * c + b * c, "distributivity")
+        _check((a * b) * c == a * (b * c), "associativity")
+        _check(b.is_zero or (a / b) * b == a, "division")
+        _check(a.conj().conj() == a, "conjugation is an involution")
+        _check((a * b).conj() == a.conj() * b.conj(), "conjugation is a hom")
 
 
 def check_eval_character_hom(rng):
@@ -104,8 +110,8 @@ def check_eval_character_hom(rng):
         p = random_laurent(rng, rank)
         q = random_laurent(rng, rank)
         rho = [random_nonzero_scalar(rng) for _ in range(rank)]
-        assert (p * q).eval_character(rho) == \
-            p.eval_character(rho) * q.eval_character(rho)
+        _check((p * q).eval_character(rho) ==
+               p.eval_character(rho) * q.eval_character(rho), "homomorphism")
 
 
 def check_rank_symmetries(rng):
@@ -113,10 +119,10 @@ def check_rank_symmetries(rng):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = [[random_scalar(rng, 3) for _ in range(cols)] for _ in range(rows)]
-        assert linalg.rank(m) == linalg.rank(linalg.transpose(m))
+        _check(linalg.rank(m) == linalg.rank(linalg.transpose(m)), "transpose")
         perm = list(range(rows))
         rng.shuffle(perm)
-        assert linalg.rank([m[i] for i in perm]) == linalg.rank(m)
+        _check(linalg.rank([m[i] for i in perm]) == linalg.rank(m), "rows")
 
 
 def check_snf_determinant(rng):
@@ -127,9 +133,9 @@ def check_snf_determinant(rng):
         prod = 1
         for i in range(n):
             prod *= d[i][i]
-        assert abs(prod) == abs(linalg.det_ring(e, 1))
-        assert abs(linalg.det_ring(u, 1)) == 1
-        assert abs(linalg.det_ring(v, 1)) == 1
+        _check(abs(prod) == abs(linalg.det_ring(e, 1)), "|det D| = |det E|")
+        _check(abs(linalg.det_ring(u, 1)) == 1, "U unimodular")
+        _check(abs(linalg.det_ring(v, 1)) == 1, "V unimodular")
 
 
 def check_birkhoff_roundtrip(rng):
@@ -143,22 +149,24 @@ def check_birkhoff_roundtrip(rng):
         right = random_unimodular_z(rng, n, chart=+1)
         g = linalg.mat_mul(linalg.mat_mul(left, diag), right)
         b = P1Bundle(g)
-        assert splitting_type(b) == exps
+        _check(splitting_type(b) == exps, "splitting type")
         for m in range(-exps[0] - 1, -exps[-1] + 2):  # where h0 can jump
             sections = section_basis(b, m)
-            assert len(sections) == sum(max(0, x + m + 1) for x in exps)
+            _check(len(sections) == sum(max(0, x + m + 1) for x in exps),
+                   "h0 count")
             for v in sections:   # polynomial, and G v has z-degree <= m
                 gv = [x for (x,) in linalg.mat_mul(g, [[x] for x in v])]
-                assert all(x.is_zero or min(x.terms) >= (0,) for x in v)
-                assert all(x.is_zero or max(x.terms) <= (m,) for x in gv)
+                _check(all(x.is_zero or min(x.terms) >= (0,) for x in v) and
+                       all(x.is_zero or max(x.terms) <= (m,) for x in gv),
+                       "section degrees")
 
 
 def check_rees_roundtrip(rng):
     for _ in range(10):
         fs = random_filtration(rng)
         rm = build_rees(fs)
-        assert recover_filtration(rm).equal(fs)
-        assert sum(fiber(rm, 0).values()) == fiber(rm, 1)
+        _check(recover_filtration(rm).equal(fs), "filtration recovered")
+        _check(sum(fiber(rm, 0).values()) == fiber(rm, 1), "fiber dimensions")
 
 
 def check_twistor_identities(rng):
@@ -167,9 +175,9 @@ def check_twistor_identities(rng):
     for _ in range(6):
         lam = random_scalar(rng, 3)
         op = structure_at(qs, lam)
-        assert op.compose(op) == minus1
-        assert op == structure_at_closed(qs, lam)
-        assert op == sphere_combination(qs, stereographic(lam))
+        _check(op.compose(op) == minus1, "J^2 = -1")
+        _check(op == structure_at_closed(qs, lam), "closed form")
+        _check(op == sphere_combination(qs, stereographic(lam)), "sphere form")
 
 
 def check_sigma_prime_invariance(rng):
@@ -178,9 +186,10 @@ def check_sigma_prime_invariance(rng):
         h = HarmonicLine(nu=tuple(random_scalar(rng) for _ in range(g)),
                          theta_prime=tuple(random_scalar(rng) for _ in range(g)))
         lam = random_nonzero_scalar(rng)
-        assert sigma_prime(prefered_section(h, lam)) == \
-            prefered_section(h, -(lam.conj().inv()))
-        assert classify_invariant_section(from_harmonic(h)) == ("prefered", h)
+        _check(sigma_prime(prefered_section(h, lam)) ==
+               prefered_section(h, -(lam.conj().inv())), "sigma' invariance")
+        _check(classify_invariant_section(from_harmonic(h)) == ("prefered", h),
+               "classification")
 
 
 def check_jump_euler(rng):
@@ -193,7 +202,7 @@ def check_jump_euler(rng):
         rho = [rng.choice([Scalar.rational(2), -Scalar.one(), Scalar.i()])
                for _ in range(a)]
         h2, h3 = betti_dims(p, rho)
-        assert h2 - h3 == m - l
+        _check(h2 - h3 == m - l, "Euler characteristic")
 
 
 def _int_laurent(rng, rank):
@@ -218,9 +227,9 @@ def check_gm_membership(rng):
         if status == "in_U":
             upoints.append(pt)
     for pt in upoints[:10]:
-        assert orbit_equivalent(action, pt, pt)
+        _check(orbit_equivalent(action, pt, pt), "reflexive")
         t = Scalar.rational(rng.randint(2, 5))
-        assert orbit_equivalent(action, pt, action.act(t, pt))
+        _check(orbit_equivalent(action, pt, action.act(t, pt)), "t.x ~ x")
 
 
 def check_langton_fixture(rng):
@@ -229,9 +238,9 @@ def check_langton_fixture(rng):
     fam = DiskFamily([[LaurentPoly(1, {(1,): one}), LaurentPoly(1, {(0,): s})],
                       [LaurentPoly.zero(1), LaurentPoly(1, {(-1,): one})]])
     out, trail, certs = langton_reduce(fam)
-    assert len(certs) == 1
-    assert trail[-1].special_type == (0, 0)
-    assert generic_splitting(out) == [0, 0]
+    _check(len(certs) == 1, "one step")
+    _check(trail[-1].special_type == (0, 0), "special fiber balanced")
+    _check(generic_splitting(out) == [0, 0], "generic fiber kept")
 
 
 CHECKS = [

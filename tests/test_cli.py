@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgekit import cli, gm_action, linalg
+from hodgekit import cli, gm_action, jump_loci, linalg, scalars
 from hodgekit.errors import PreconditionError
 
 SCHEMA = json.load(open("src/hodgekit/schemas/wire-v1.json"))
@@ -470,6 +470,31 @@ def test_selftest_requires_seed_and_runs():
         out, dict(SCHEMA["outputs"]["selftest"], **{"$defs": SCHEMA["$defs"]}))
 
 
+# multiplication replaced by addition after import; the battery must see it
+# even with assert statements compiled away
+SABOTAGED_SELFTEST = """
+import sys
+from hodgekit import cli
+from hodgekit.scalars import Scalar
+if not sys.flags.optimize:
+    sys.exit(3)
+Scalar.__mul__ = Scalar.__add__
+sys.exit(cli.main(["selftest", "--seed", "1"]))
+"""
+
+
+def test_selftest_fails_a_sabotaged_operator_under_python_O():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", SABOTAGED_SELFTEST],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    failed = {c["name"] for c in out["checks"] if not c["passed"]}
+    assert "scalar-field-axioms" in failed
+    assert out["failed"] == len(failed) > 0
+
+
 def test_exit_codes(capsys):
     code = cli.main(["rings", "conj", "--inline", '{"scalar": "what"}'])
     assert code == 1
@@ -663,6 +688,14 @@ BUDGET_OVERRUNS = [
                  f"{math.comb(10**4 + 11, 11)} monomials of degree 10000 in 12 "
                  "coordinates", "gm_action._MAX_MONOMIALS", 100000,
                  id="gmquot-invariants"),
+    pytest.param(["jumploci", "scan", "--seed", "1"],
+                 {"cw": _cw_json(2), "k": 1, "count": 10**6},
+                 "1000000 character samples", "jump_loci._MAX_SAMPLES",
+                 100000, id="jumploci-scan"),
+    pytest.param(["rings", "conj"],
+                 {"scalar": {"order": 10**6, "coeffs": []}},
+                 "1000000 distinct powers of zeta_n",
+                 "scalars._MAX_CYCLOTOMIC_ORDER", 120, id="cyclotomic-order"),
 ]
 
 
@@ -685,6 +718,13 @@ def test_budget_overrun_exits_1_before_expanding(argv, request_, counted, name,
      {"action": {"weights": [0, 1, 2], "a": "1"}, "degree": 2},
      gm_action, "_MAX_MONOMIALS",
      "6 monomials of degree 2 in 3 coordinates exceed the budget 5"),
+    (["jumploci", "scan", "--seed", "1"],
+     {"cw": _cw_json(2), "k": 1, "count": 3},
+     jump_loci, "_MAX_SAMPLES", "3 character samples exceed the budget 2"),
+    (["rings", "conj"],
+     {"scalar": {"order": 12, "coeffs": ["1", "0", "0", "0"]}},
+     scalars, "_MAX_CYCLOTOMIC_ORDER",
+     "12 distinct powers of zeta_n exceed the budget 11"),
 ])
 def test_budget_refuses_one_over_and_runs_at_the_cap(argv, request_, module, name,
                                                      reason, monkeypatch, capsys):
@@ -734,6 +774,16 @@ def test_unwritable_out_is_a_precondition(tmp_path):
     err = json.loads(proc.stdout)     # one JSON document, not the result too
     assert err["error"]["kind"] == "precondition"
     assert "--out" in err["error"]["reason"]
+
+
+@pytest.mark.parametrize("out", [["--out="], ["--out", ""]])
+def test_empty_out_is_refused_like_empty_input(out, capsys):
+    code = cli.main(["rings", "conj", "--inline", '{"scalar": "i"}', *out])
+    assert code == 1
+    err = json.loads(capsys.readouterr().out)   # the error only, no result
+    assert err["error"]["kind"] == "precondition"
+    assert "--out" in err["error"]["reason"]
+    assert cli.main(["rings", "conj", "--input="]) == 1
 
 
 def test_output_reparses():

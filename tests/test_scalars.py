@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgekit.errors import PreconditionError
+from hodgekit import scalars
+from hodgekit.errors import InternalInvariantError, PreconditionError
 from hodgekit.scalars import Scalar, conj, format_scalar, parse_scalar
 
 small_fracs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -116,12 +117,23 @@ def test_cyclotomic_inverse_and_power():
         assert (z * z.conj()) == Scalar.one()  # |zeta| = 1 exactly
 
 
-def test_order_cap_env(monkeypatch):
-    monkeypatch.setenv("HODGEKIT_CYCLOTOMIC_MAX", "10")
+def test_order_cap(monkeypatch):
+    monkeypatch.setattr(scalars, "_MAX_CYCLOTOMIC_ORDER", 10)
     with pytest.raises(PreconditionError):
         Scalar.zeta(12)
-    monkeypatch.delenv("HODGEKIT_CYCLOTOMIC_MAX")
+    monkeypatch.undo()
     assert Scalar.zeta(12) ** 12 == Scalar.one()
+    for order in (0, -1):
+        with pytest.raises(PreconditionError):
+            Scalar.zeta(order)
+
+
+def test_cyclotomic_checks_raise_without_assert():
+    # explicit raises, so they hold under python -O as well
+    with pytest.raises(PreconditionError):
+        scalars.totient(0)
+    with pytest.raises(InternalInvariantError):
+        scalars._cyclo_inverse(5, [Fraction(0)] * 4)
 
 
 @given(gaussians)
