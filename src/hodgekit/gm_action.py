@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, gcd
 
 from .errors import PreconditionError, InternalInvariantError, check_budget
@@ -350,8 +350,14 @@ def invariant_monomials(action: WeightedAction, degree: int):
     check_budget(comb(degree + n - 1, n - 1),
                  f"monomials of degree {degree} in {n} coordinates",
                  _MAX_MONOMIALS, "gm_action._MAX_MONOMIALS")
+    # Stars and bars: n - 1 bar positions among degree + n - 1 slots give
+    # one monomial in O(n), whatever the degree.  combinations() copies
+    # its pool, which for n >= 2 is no larger than the budgeted count;
+    # n = 1 has no bars and the one monomial (degree,).
+    slots = degree + n - 1
     out = []
-    for combo in combinations_with_replacement(range(n), degree):
-        if sum(action.weights[i] for i in combo) == target:
-            out.append(tuple(combo.count(i) for i in range(n)))
+    for bars in combinations(range(slots), n - 1) if n > 1 else [()]:
+        e = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+        if sum(w * k for w, k in zip(action.weights, e)) == target:
+            out.append(e)
     return sorted(out)

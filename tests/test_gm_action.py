@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,19 @@ def test_invariant_monomials():
     assert invariant_monomials(WeightedAction([0, 1, 2], Fraction(1, 3)), 2) == []
     all_deg2 = invariant_monomials(WeightedAction([0, 0, 0], Fraction(0)), 2)
     assert len(all_deg2) == 6
+
+
+def test_invariant_monomials_cost_follows_the_budgeted_count():
+    # The budget counts monomials; each must cost O(n), not O(degree).
+    start = time.perf_counter()
+    assert invariant_monomials(WeightedAction([0], 1), 10**9) == []
+    assert invariant_monomials(WeightedAction([0], 0), 10**9) == [(10**9,)]
+    assert invariant_monomials(WeightedAction([0, 1], 1), 99_999) == \
+        [(0, 99_999)]
+    assert time.perf_counter() - start < 10
+    action = WeightedAction([0, 1, 3], Fraction(1))
+    assert invariant_monomials(action, 445) == \
+        _oracle_invariant_monomials(action, 445)
 
 
 # -- oracles: the implementations that built limit points, solved a Smith
